@@ -7,8 +7,9 @@ The program sees only what is generated here; seeds it needs for Monte
 Carlo are drawn here too.
 
 Each workload has a main part, generated as ``MAIN_ROUNDS`` rounds that a
-run cycles through until its time is up, and a small fixed side part that
-keeps every end-to-end metric measured on every workload.
+run cycles through until its time is up, and a small fixed side part of
+every other kind, which the traced run uses so that every per-layer metric
+is reported on every workload.
 """
 
 import json
@@ -181,7 +182,7 @@ def cli_round(rng):
 
 
 def cli_side(rng):
-    """Three calls, enough for a CLI wall time on the in-process workloads."""
+    """Three calls: the traced side round of the in-process workloads."""
     return [
         _bound("general_upper", "pow4", _family("gaussian", 1.0, _log_uniform(rng, 0.1, 2.0)),
                rng.randrange(1, 2 ** 31), terms=[[2.0, 1.0], [4.0, 1.0]]),

@@ -10,20 +10,17 @@ as the last line of standard output.  Times are process CPU time, user
 plus system: on a shared host, wall time also counts the spells in which
 the process waits for a CPU.
 
-With ``--trace 0`` a run reports every end-to-end metric.  The workload's
-own kind runs for ``--seconds`` in whole rounds; a small fixed side part
-measures the metrics of the other kinds, so every metric is reported on
-every workload.  Both run in three cycles of fresh processes, and each
-step counts with its fastest CPU time over the cycles.  With ``--trace 1``
-a run reports the per-layer metrics: import self times from
-``-X importtime`` and the span and count metrics of the traced worker.
-See README.md.
+With ``--trace 0`` a run reports the end-to-end metrics of the workload's
+own operations: ``SETUP_SAMPLES`` set-up-only workers for ``setup_s``, then
+whole rounds of the workload for ``--seconds``, in one worker or, on
+``cli_cold``, as CLI processes.  With ``--trace 1`` a run reports the
+per-layer metrics: import self times from ``-X importtime`` and the span
+and count metrics of the traced worker.  See README.md.
 """
 
 import argparse
 import hashlib
 import json
-import math
 import os
 import selectors
 import statistics
@@ -41,15 +38,11 @@ OUT_DIR = os.path.join(BENCH, "out")
 
 END_TO_END = {
     "setup_s": "s",
-    "cli_call_s": "s",
-    "sandwich_checks_per_s": "checks/s",
-    "oracle_gaps_per_s": "gaps/s",
-    "mean_of_n_sweep_s": "s",
+    "cpu_ms_per_op": "ms",
     "peak_rss_mb": "MB",
 }
 IMPORTED_PACKAGES = ("numpy", "scipy", "jensengap")
 SETUP_SAMPLES = 5
-CYCLES = 3
 IMPORT_SAMPLES = 3
 CHILD_TIMEOUT_S = 150.0
 SHOWN_PROBLEMS = 20
@@ -100,10 +93,9 @@ class Child:
         self.rss_kib = usage.ru_maxrss
 
 
-def worker(workload, seed, role, seconds=0.0, count=1, check=True):
+def worker(workload, seed, role, seconds=0.0):
     """Run worker.py; returns (its result dict, the Child)."""
-    arg = json.dumps({"workload": workload, "seed": seed, "role": role, "seconds": seconds,
-                      "count": count, "check": check})
+    arg = json.dumps({"workload": workload, "seed": seed, "role": role, "seconds": seconds})
     child = Child([sys.executable, os.path.join(BENCH, "worker.py"), arg])
     if child.code != 0:
         raise RuntimeError(f"worker ({role}) exited with {child.code}")
@@ -124,134 +116,49 @@ class Tally:
         self.errors += result["errors"]
 
 
-class CliCalls:
-    """`python -m jensengap.cli` processes, one at a time.
-
-    ``add`` makes the first call of each and checks its output; ``repeat``
-    calls them all again, which must print the same.  Each call counts
-    with its fastest CPU time.
-    """
-
-    def __init__(self, tally):
-        self.tally = tally
-        self.calls = []
-        self.best = []
-        self.stdout = []
-        self.rss_kib = 0
-
-    def _call(self, i):
-        argv, spec = self.calls[i]
-        child = Child([sys.executable, "-m", "jensengap.cli", *argv])
-        self.best[i] = min(self.best[i], child.cpu)
-        self.rss_kib = max(self.rss_kib, child.rss_kib)
-        if child.code != 0:
-            raise RuntimeError(f"jensengap {' '.join(argv[:3])} exited with {child.code}")
-        return child.stdout
-
-    def add(self, calls):
-        for call in calls:
-            self.calls.append(call)
-            self.best.append(math.inf)
-            self.stdout.append(None)
-            self.tally.ops += 1
-            try:
-                self.stdout[-1] = self._call(len(self.calls) - 1)
-            except RuntimeError as exc:
-                self.tally.failed += 1
-                self.tally.errors.append(str(exc))
+def cli_calls(rounds, seconds, tally):
+    """`python -m jensengap.cli` processes, one at a time, in whole rounds
+    until ``seconds`` of wall time pass; every output is checked.  Returns
+    the CPU time of each call that exited 0, the largest peak RSS (KiB) and
+    the digest of the first round's outputs."""
+    start = time.monotonic()
+    times, rss_kib, first = [], 0, hashlib.sha256()
+    done = 0
+    while done == 0 or time.monotonic() - start < seconds:
+        for argv, spec in rounds[done % len(rounds)]:
+            tally.ops += 1
+            child = Child([sys.executable, "-m", "jensengap.cli", *argv])
+            rss_kib = max(rss_kib, child.rss_kib)
+            if child.code != 0:
+                tally.failed += 1
+                tally.errors.append(f"jensengap {' '.join(argv[:3])} exited with {child.code}")
                 continue
-            self.tally.problems += checks.cli_payload(call[1], json.loads(self.stdout[-1]))
-
-    def repeat(self):
-        for i, first in enumerate(self.stdout):
-            if first is None:
-                continue
-            try:
-                same = self._call(i) == first
-            except RuntimeError as exc:
-                same = False
-                self.tally.errors.append(str(exc))
-            if not same:
-                self.tally.problems.append(f"jensengap {' '.join(self.calls[i][0][:3])} "
-                                           "did not repeat its output")
-
-    def median_s(self):
-        return statistics.median(t for t in self.best if t < math.inf)
-
-
-class Steps:
-    """Timed steps of the in-process kinds over the cycles of a run."""
-
-    def __init__(self, tally):
-        self.tally = tally
-        self.cycles = {}
-        self.outputs = {}
-
-    def add(self, role, result):
-        for metric, steps in result["steps"].items():
-            self.cycles.setdefault(metric, []).append(steps)
-        first = self.outputs.setdefault(role, result["outputs"])
-        if result["outputs"] != first:
-            self.tally.problems.append(f"the {role} worker's outputs changed between cycles")
-
-    def metric(self, name):
-        """Units per second of the fastest times for a rate, else seconds per unit."""
-        cycles = self.cycles[name]
-        if any(len(c) != len(cycles[0]) for c in cycles):
-            self.tally.problems.append(f"{name}: cycles ran different steps")
-        times = [min(c[i][0] for c in cycles) for i in range(min(map(len, cycles)))]
-        units = sum(u for _, u in cycles[0][:len(times)])
-        total = math.fsum(times)
-        return units / total if name.endswith("_per_s") else total / units
+            times.append(child.cpu)
+            if done == 0:
+                first.update(child.stdout)
+            tally.problems += checks.cli_payload(spec, json.loads(child.stdout))
+        done += 1
+    return times, rss_kib, first.hexdigest()
 
 
 def untraced(workload, seed, seconds, tally):
-    """Three cycles of (main part, side CLI calls, side worker), so that each
-    metric's repeats lie across the whole run; see README.md."""
-    own = inputs.WORKLOAD_KIND[workload]
-    raw = inputs.build(workload, seed)
-    steps, cli = Steps(tally), CliCalls(tally)
-    setup, rss = [], []
-    count = None
-    for cycle in range(CYCLES):
-        check = cycle == 0
-        if own == "cli":
-            if check:
-                start = time.monotonic()
-                for rnd in raw["main"]:
-                    cli.add(rnd)
-                    if time.monotonic() - start >= seconds / CYCLES:
-                        break
-                first = b"".join(out or b"" for out in cli.stdout[:len(raw["main"][0])])
-                digest = hashlib.sha256(first).hexdigest()
-            else:
-                cli.repeat()
-            rss = [cli.rss_kib]
-        else:
-            if check:
-                result, child = worker(workload, seed, "main", seconds / CYCLES)
-                count, digest = result["count"], result["digest"]
-                tally.add(result)
-            else:
-                result, child = worker(workload, seed, "main", count=count, check=False)
-            steps.add("main", result)
-            setup.append(result["setup_s"])
-            rss.append(child.rss_kib)
-            if check:
-                cli.add(raw["side"]["cli"])
-            else:
-                cli.repeat()
-        result, _ = worker(workload, seed, "side", check=check)
-        if check:
-            tally.add(result)
-        steps.add("side", result)
-        setup.append(result["setup_s"])
-    while len(setup) < SETUP_SAMPLES:
-        setup.append(worker(workload, seed, "setup")[0]["setup_s"])
-    metrics = {name: steps.metric(name) for name in steps.cycles}
-    metrics.update(setup_s=statistics.median(setup), cli_call_s=cli.median_s(),
-                   peak_rss_mb=max(rss) / 1024.0)
-    return {name: (metrics[name], unit) for name, unit in END_TO_END.items()}, digest, {}
+    """Set-up workers, then the workload's own kind for ``seconds``; see
+    README.md."""
+    setup = [worker(workload, seed, "setup")[0]["setup_s"] for _ in range(SETUP_SAMPLES)]
+    if inputs.WORKLOAD_KIND[workload] == "cli":
+        times, rss_kib, digest = cli_calls(inputs.build(workload, seed)["main"], seconds, tally)
+        per_op, rounds = times, [[t, 1] for t in times]
+    else:
+        result, child = worker(workload, seed, "main", seconds)
+        tally.add(result)
+        rss_kib, digest = child.rss_kib, result["digest"]
+        rounds = result["rounds"]
+        per_op = [cpu / units for cpu, units in rounds if units]
+    metrics = {"setup_s": statistics.median(setup),
+               "cpu_ms_per_op": 1e3 * statistics.median(per_op),
+               "peak_rss_mb": rss_kib / 1024.0}
+    return ({name: (metrics[name], unit) for name, unit in END_TO_END.items()}, digest,
+            {"setup_s": setup, "rounds": rounds})
 
 
 def import_times():

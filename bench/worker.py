@@ -1,22 +1,20 @@
 """Worker process: import jensengap, build the inputs of a workload, run them.
 
 Started by ``run.py`` with one JSON argument holding ``workload``,
-``seed``, ``role``, ``seconds``, ``count`` and ``check``.
-Set-up ends when the inputs are built; the worker reports the CPU time it
-has used by then, interpreter start-up and imports included.  Roles:
+``seed``, ``role`` and ``seconds``.  Set-up ends when the inputs are built;
+the worker reports the CPU time it has used by then, interpreter start-up
+and imports included.  Roles:
 
 - ``setup``: stop there;
 - ``main``: run whole rounds of the workload's own kind for ``seconds``,
-  or ``count`` rounds;
-- ``side``: run one round of every other in-process kind;
+  checking every output, and report each round's CPU time and units;
 - ``trace``: run the own kind untraced for half of ``seconds``, the same
-  rounds again under the tracer, then one traced round of every other kind
-  (CLI calls through ``cli.main`` in this process), and report per-layer
-  metrics.
+  rounds again under the tracer, then one traced side round of every other
+  kind (CLI calls through ``cli.main`` in this process), and report
+  per-layer metrics.
 
-With ``check`` false the outputs are not checked against the references,
-only hashed.  The last line of standard output is one JSON object with the
-results.  Times are process CPU time (see README.md for why).
+The last line of standard output is one JSON object with the results.
+Times are process CPU time (see README.md for why).
 """
 
 import contextlib
@@ -46,25 +44,24 @@ class Kind:
     """Operations of one kind: counts, check results and per-step CPU times.
 
     Each timed step (an operation, or an envelope solve that several share)
-    is recorded as ``[CPU seconds, units]``; units are what the kind's
-    metric counts.  The parent process runs the same steps in several
-    processes and keeps each step's fastest time.  Program calls are timed,
-    checks against the references are not, and run only with ``check``.
-    ``outputs`` hashes every step's outputs so that the parent can see that
-    the runs agree; the digest covers the first round only, so it is the
-    same for a given seed however many rounds a run completes.
+    is recorded as ``[CPU seconds, units]``; units are the operations that
+    ``cpu_ms_per_op`` counts, and ``rounds`` sums both per round.  Program calls are
+    timed, checks against the references are not.  ``outputs`` hashes every
+    step's outputs so that a traced run can show it computed the same; the
+    digest covers the first round only, so it is the same for a given seed
+    however many rounds a run completes.
     """
 
-    def __init__(self, data, tracer=None, check=True):
+    def __init__(self, data, tracer=None):
         self.data = data
         self.tracer = tracer
-        self.check = check
         self.ops = 0
         self.failed = 0
         self.problems = []
         self.errors = []
         self.round = 0
         self.steps = []
+        self.rounds = []
         self._outputs = hashlib.sha256()
         self._digest = hashlib.sha256()
 
@@ -90,8 +87,7 @@ class Kind:
             self.fail(exc)
             return
         self.ops += 1
-        if self.check:
-            check(out, *args)
+        check(out, *args)
 
     def record(self, obj):
         if self.round == 0:
@@ -110,7 +106,10 @@ class Kind:
         start, cpu = time.perf_counter(), time.process_time()
         self.round = 0
         while self.round < count or time.perf_counter() - start < seconds:
+            first = len(self.steps)
             self.run_round(rounds[self.round % len(rounds)])
+            done = self.steps[first:]
+            self.rounds.append([math.fsum(t for t, _ in done), sum(u for _, u in done)])
             self.round += 1
         self.cpu_s = time.process_time() - cpu
         self.wall_s = time.perf_counter() - start
@@ -122,9 +121,8 @@ class Kind:
 
 class Sandwich(Kind):
     """Criterion-2 checks: upper, variance and Cauchy-Schwarz bounds against
-    the oracle gap, with the envelopes solved once per function per round."""
-
-    metric = "sandwich_checks_per_s"
+    the oracle gap, with the envelopes solved once per function per round.
+    A unit is one bound-versus-gap check (a report verified)."""
 
     def run_round(self, rnd):
         for index, dists in rnd:
@@ -171,9 +169,7 @@ class Quadrature(Kind):
     """Quadrature gaps over a spread grid; every fourth operation also takes
     a moment by quadrature.  The envelopes are solved once per process and
     not timed: as a share of a run their cost would fall as the host speeds
-    up and more rounds fit."""
-
-    metric = "oracle_gaps_per_s"
+    up and more rounds fit.  A unit is one gap."""
 
     def run_round(self, rnd):
         if self.round == 0:
@@ -216,12 +212,10 @@ class Quadrature(Kind):
 
 class MeanOfN(Kind):
     """mean_of_n_sweep of cos at 100,000 samples; the upper bounds are
-    re-derived with their uncertainty in ``finish``."""
+    re-derived with their uncertainty in ``finish``.  A unit is one sweep."""
 
-    metric = "mean_of_n_sweep_s"
-
-    def __init__(self, data, tracer=None, check=True):
-        super().__init__(data, tracer, check)
+    def __init__(self, data, tracer=None):
+        super().__init__(data, tracer)
         self.done = []
 
     def run_round(self, rnd):
@@ -239,10 +233,13 @@ class MeanOfN(Kind):
                                 {"variant": "mean_of_n", "base": desc, "n": row["n"]})
             self.problems += checks.estimate(f"gap at N={row['n']} on {desc}", ref,
                                              row["gap"], row["gap_error"])
-        self.done.append((desc, base, seed, res))
+        if self.round == 0:
+            self.done.append((desc, base, seed, res))
         self.record([res["gap_slope"], res["rows"]])
 
     def finish(self):
+        """Re-derive the first round's upper bounds: each costs about as much
+        as a sweep, so all rounds would double a run."""
         m = envelope.sup_ratio_upper(self.data.cos, 2.0, 2.0)
         if not math.isclose(m.value, reference.COS_UPPER_M, rel_tol=reference.CATALOG_REL_TOL):
             self.problems.append(f"cos envelope {m.value!r} vs {reference.COS_UPPER_M}")
@@ -356,21 +353,11 @@ def main():
     data = Data(args["workload"], args["seed"])
     out = {"setup_s": time.process_time()}
     role = args["role"]
-    if role in ("main", "side"):
-        if role == "main":
-            kinds = [KINDS[data.own](data, check=args["check"])]
-            kinds[0].run(data.main, args["seconds"], args["count"])
-            out.update(count=kinds[0].round, digest=kinds[0].digest())
-        else:
-            names = [name for name in data.side if name != "cli"]
-            kinds = [KINDS[name](data, check=args["check"]) for name in names]
-            for kind, name in zip(kinds, names):
-                kind.run([data.side[name]])
-        if args["check"]:
-            for kind in kinds:
-                kind.finish()
-        out.update(_summary(kinds), steps={k.metric: k.steps for k in kinds},
-                   outputs=[k.outputs() for k in kinds])
+    if role == "main":
+        kind = KINDS[data.own](data)
+        kind.run(data.main, args["seconds"])
+        kind.finish()
+        out.update(_summary([kind]), rounds=kind.rounds, digest=kind.digest())
     elif role == "trace":
         out.update(trace_run(data, args["workload"], args["seed"], args["seconds"]))
     print(json.dumps(out))
