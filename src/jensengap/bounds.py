@@ -175,6 +175,7 @@ def upper_bound(M, dist, alpha, n, *, seed=None,
         valid=M.validated,
         uncertainty=unc,
         loose_value=loose_value,
+        f_label=M.f_label,
         dist_label=dist.variant,
     )
 
@@ -189,6 +190,7 @@ def _lower_report(kind, M, dist, mean, moments, params, value, unc):
         params=params,
         valid=M.validated,
         uncertainty=unc,
+        f_label=M.f_label,
         dist_label=dist.variant,
     )
 

@@ -17,7 +17,7 @@ import sys
 
 from . import bounds
 from .catalog import REL_TOL, worked_example_rows
-from .distributions import distribution_from_dict
+from .distributions import DEFAULT_NODES, MIN_NODES, distribution_from_dict
 from .envelope import inf_ratio_lower, sup_ratio_upper
 from .errors import ConditionViolationError, InvalidParameterError, JensenGapError
 from .functions import GAP_ABOVE, GAP_BELOW, linear_shift, function_from_dict, select_shift_slope
@@ -498,6 +498,9 @@ def _add_data_flags(p):
                    help="RNG seed (falls back to JGB_SEED, then 0)")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="quadrature budget: integrand evaluations per integral "
+                        f"(default {DEFAULT_NODES}, at least {MIN_NODES})")
 
 
 def build_parser():
@@ -522,14 +525,11 @@ def build_parser():
                    help="which side of f(mu) the gap sits on (lower bounds)")
     p.add_argument("--shift", default=None, metavar="auto|none|SLOPE",
                    help="linear slope removed before the envelope (default auto)")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="quadrature node count")
     _add_io_flags(p)
     p.set_defaults(handler=cmd_bound)
 
     p = sub.add_parser("oracle", help="estimate the gap directly")
     _add_data_flags(p)
-    p.add_argument("--nodes", type=int, default=None)
     _add_io_flags(p)
     p.set_defaults(handler=cmd_oracle)
 

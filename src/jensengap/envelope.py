@@ -81,7 +81,8 @@ class EnvelopeConstant:
     ``location`` is ``"interior"`` for an extremum at a finite point away from
     the mean, ``"at_mu"`` when the extremum is the limit as ``x -> mu`` (then
     ``arg`` is the mean itself), and ``"at_infinity"`` for a limit or
-    divergence at the far end (then ``arg`` is None).
+    divergence at the far end (then ``arg`` is None).  ``f_label`` names the
+    function the constant was solved for, so bounds built on it can say so.
     """
 
     value: float
@@ -92,6 +93,7 @@ class EnvelopeConstant:
     params: tuple
     validated: bool
     diag: SolverDiagnostics
+    f_label: str = ""
 
     def to_dict(self):
         return {
@@ -372,7 +374,8 @@ def _sup_of_abs_ratio(f, terms, *, role, params, validated, probes_per_side):
             "no finite constant exists for these exponents"
         )
     return EnvelopeConstant(
-        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag
+        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag,
+        f.label,
     )
 
 
@@ -405,7 +408,8 @@ def _inf_of_signed_ratio(f, terms, sign, *, role, params, validated, probes_per_
             "resulting lower bound would be vacuous"
         )
     return EnvelopeConstant(
-        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag
+        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag,
+        f.label,
     )
 
 
@@ -501,7 +505,8 @@ def curvature_envelope(f, *, probes_per_side=DEFAULT_PROBES_PER_SIDE):
         )
         out.append(
             EnvelopeConstant(
-                value, chosen.arg, chosen.location, role, f.mu, params, True, diag
+                value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
+                f.label,
             )
         )
     return tuple(out)

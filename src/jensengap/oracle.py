@@ -2,7 +2,7 @@
 
 The gap E[f(X)] - f(E[X]) is computed here without reference to any bound
 formula, so it can sit on the other side of every check: exact summation for
-discrete support, certified quadrature for the named continuous families,
+discrete support, adaptive quadrature for the named continuous families,
 Monte Carlo for averaged ones.  ``verify`` then compares a bound report
 against a gap estimate, treating the estimate's error bar as the deciding
 margin.
@@ -10,8 +10,6 @@ margin.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import DEFAULT_GAP_SAMPLES, DEFAULT_NODES
 from .errors import DomainError, InvalidParameterError
@@ -23,8 +21,11 @@ from .serialize import encode_float
 class GapEstimate:
     """One oracle gap value with its error bar.
 
-    ``abs_error`` is a 95% confidence radius for Monte Carlo and a certified
-    truncation-plus-quadrature remainder otherwise; exact sums report 0.
+    ``abs_error`` is a 95% confidence radius for Monte Carlo; for quadrature
+    it is the rule's error estimate plus a rigorous bound on the truncated
+    tail, so it is an estimate, not a bound.  Exact sums report 0.
+    ``count`` is the number of integrand evaluations of the final quadrature
+    (at most ``nodes``), of atoms summed, or of Monte Carlo draws.
     """
 
     value: float
@@ -69,17 +70,6 @@ class VerifyResult:
         }
 
 
-def _integrand(f):
-    # Quadrature feeds scalars, the discrete and sampling paths feed arrays.
-    def g(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return evaluate(f, float(arr))
-        return eval_many(f, arr)
-
-    return g
-
-
 def jensen_gap(f, dist, *, samples=DEFAULT_GAP_SAMPLES, nodes=DEFAULT_NODES,
                seed=None):
     """E[f(X)] - f(E[X]) with method picked by the distribution's structure."""
@@ -92,7 +82,8 @@ def jensen_gap(f, dist, *, samples=DEFAULT_GAP_SAMPLES, nodes=DEFAULT_NODES,
     mu = dist.mean()
     if not f.domain.contains(mu):
         raise DomainError(f"mean {mu} lies outside the domain of {f.label}")
-    est = dist.expect(_integrand(f), nodes=nodes, samples=samples, seed=seed)
+    est = dist.expect(lambda xs: eval_many(f, xs), nodes=nodes, samples=samples,
+                      seed=seed)
     gap = est.value - evaluate(f, mu)
     return GapEstimate(
         value=float(gap),

@@ -11,11 +11,3 @@ def encode_float(x):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
-
-
-def decode_float(x):
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
-    return float(x)

@@ -34,6 +34,28 @@ def test_bound_json_structure(capsys):
     assert doc["gap"]["value"] == pytest.approx(-0.459697694)
 
 
+SQUARE = '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1]}'
+LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 0.5}'
+
+
+@pytest.mark.parametrize("kind, function, label, extra", [
+    ("upper", COS, "cos", ["--alpha", "2", "--n", "2"]),
+    ("lower", SQUARE, "poly[0, 0, 1]", ["--alpha", "2", "--beta", "2"]),
+    ("holder", SQUARE, "poly[0, 0, 1]",
+     ["--alpha", "2", "--beta", "2", "--k", "1", "--q", "2"]),
+    ("holder_single", SQUARE, "poly[0, 0, 1]",
+     ["--alpha", "2", "--beta", "2", "--k", "1"]),
+], ids=["upper", "lower", "holder", "holder_single"])
+def test_bound_json_carries_function_label(capsys, kind, function, label, extra):
+    code, out = run(["bound", "--kind", kind, *extra, "--function", function,
+                     "--dist", LAPLACE, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["report"]["f_label"] == label
+    assert doc["gap"]["f_label"] == label
+    assert doc["report"]["dist_label"] == "laplace"
+
+
 def test_bound_csv_has_stable_header(capsys):
     code, out = run(["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
                      "--function", COS, "--dist", PAIR,

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jensengap
 from jensengap.distributions import (
+    _GK_GAUSS_WEIGHTS,
+    _GK_KRONROD_WEIGHTS,
+    _GK_NODES,
     Discrete,
     Empirical,
     Gaussian,
@@ -111,6 +118,34 @@ def test_quadrature_route_agrees_with_closed_form():
             assert quad.sigma_p_pow == pytest.approx(exact.sigma_p_pow, rel=1e-8)
             assert abs(quad.sigma_p_pow - exact.sigma_p_pow) <= max(
                 quad.abs_error_estimate, 1e-12)
+
+
+def _rule_on_unit_interval(weights, degree):
+    # the [-1, 1] rule mapped to [0, 1], where every monomial integrates to 1/(d+1)
+    return 0.5 * float(weights @ (0.5 + 0.5 * _GK_NODES) ** degree)
+
+
+def test_gauss_kronrod_pair_exact_degrees():
+    for d in range(32):
+        assert _rule_on_unit_interval(_GK_KRONROD_WEIGHTS, d) == pytest.approx(
+            1.0 / (d + 1), rel=1e-14, abs=0.0)
+    for d in range(20):
+        assert _rule_on_unit_interval(_GK_GAUSS_WEIGHTS, d) == pytest.approx(
+            1.0 / (d + 1), rel=1e-14, abs=0.0)
+    # one degree past exactness the 10-point Gauss error is
+    # (10!)^4 / (21 (20!)^2) for x^20 on [0, 1]
+    miss = 1.0 / 21.0 - _rule_on_unit_interval(_GK_GAUSS_WEIGHTS, 20)
+    want = math.factorial(10) ** 4 / (21.0 * math.factorial(20) ** 2)
+    assert miss == pytest.approx(want, rel=1e-3)
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(jensengap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, jensengap; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_monte_carlo_route_within_error_bars():

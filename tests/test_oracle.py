@@ -16,6 +16,7 @@ from jensengap.errors import DomainError, InvalidParameterError
 from jensengap.functions import (
     GAP_BELOW,
     Interval,
+    custom_function,
     linear_shift,
     make_function,
 )
@@ -37,6 +38,42 @@ def test_gaussian_cosine_gap_closed_form():
     want = math.exp(-sigma * sigma / 2.0) - 1.0
     assert abs(gap.value - want) <= gap.abs_error + 1e-12
     assert gap.method == "quadrature"
+
+
+@pytest.mark.parametrize("nodes", [42, 210, 2048])
+def test_nodes_caps_quadrature_evaluations(nodes):
+    sigma = 0.5
+    gap = jensen_gap(make_function("cos", 0.0), Gaussian(0.0, sigma), nodes=nodes)
+    want = math.exp(-sigma * sigma / 2.0) - 1.0
+    assert 42 <= gap.count <= nodes
+    assert abs(gap.value - want) <= gap.abs_error + 1e-12
+
+
+def test_nodes_below_two_rules_rejected():
+    with pytest.raises(InvalidParameterError):
+        jensen_gap(make_function("cos", 0.0), Gaussian(0.0, 0.5), nodes=41)
+    with pytest.raises(InvalidParameterError):
+        jensen_gap(make_function("cos", 0.0), Uniform(-1.0, 1.0), nodes=41)
+
+
+def test_scalar_only_rule_matches_builtin():
+    # math.cos rejects arrays, so every quadrature node goes one at a time
+    dist = Gaussian(0.0, 0.5)
+    builtin = jensen_gap(make_function("cos", 0.0), dist)
+    scalar = jensen_gap(custom_function(math.cos, 0.0), dist)
+    assert scalar.method == "quadrature"
+    assert abs(scalar.value - builtin.value) <= scalar.abs_error
+
+
+@pytest.mark.parametrize("dist, want", [
+    (Uniform(-1.0, 1.0), 2.0 / 3.0),
+    # E|X|^(1/2) = 2^(1/4) Gamma(3/4) / sqrt(pi) for a standard normal
+    (Gaussian(0.0, 1.0), 2.0 ** 0.25 * math.gamma(0.75) / math.sqrt(math.pi)),
+])
+def test_cusp_at_mean_within_stated_error(dist, want):
+    gap = jensen_gap(make_function("abs_power", 0.0, alpha=0.5), dist)
+    assert gap.method == "quadrature"
+    assert abs(gap.value - want) <= gap.abs_error
 
 
 def test_odd_function_gap_is_zero():
