@@ -498,6 +498,9 @@ def _add_data_flags(p):
                    help="RNG seed (falls back to JGB_SEED, then 0)")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count")
+
+
+def _add_nodes_flag(p):
     p.add_argument("--nodes", type=int, default=None,
                    help="quadrature budget: integrand evaluations per integral "
                         f"(default {DEFAULT_NODES}, at least {MIN_NODES})")
@@ -525,11 +528,13 @@ def build_parser():
                    help="which side of f(mu) the gap sits on (lower bounds)")
     p.add_argument("--shift", default=None, metavar="auto|none|SLOPE",
                    help="linear slope removed before the envelope (default auto)")
+    _add_nodes_flag(p)
     _add_io_flags(p)
     p.set_defaults(handler=cmd_bound)
 
     p = sub.add_parser("oracle", help="estimate the gap directly")
     _add_data_flags(p)
+    _add_nodes_flag(p)
     _add_io_flags(p)
     p.set_defaults(handler=cmd_oracle)
 

@@ -90,6 +90,13 @@ def test_unknown_flag_exits_one():
     assert exc.value.code == 1
 
 
+def test_sweep_rejects_nodes_flag():
+    # neither sweep mode integrates, so --nodes is not one of its flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--mode", "two_point", "--nodes", "100"])
+    assert exc.value.code == 1
+
+
 def test_violation_exit_code(capsys, monkeypatch):
     # force a failing verdict to check the exit mapping; real bounds hold
     monkeypatch.setattr(

@@ -5,6 +5,7 @@ import pytest
 
 from jensengap.bounds import BoundReport, upper_bound
 from jensengap.distributions import (
+    DEFAULT_NODES,
     Gaussian,
     Laplace,
     Uniform,
@@ -73,6 +74,9 @@ def test_scalar_only_rule_matches_builtin():
 def test_cusp_at_mean_within_stated_error(dist, want):
     gap = jensen_gap(make_function("abs_power", 0.0, alpha=0.5), dist)
     assert gap.method == "quadrature"
+    # converged within the default budget, not cut off with a large estimate
+    assert gap.count < DEFAULT_NODES
+    assert gap.abs_error <= 1e-7
     assert abs(gap.value - want) <= gap.abs_error
 
 
