@@ -20,6 +20,7 @@ from .distributions import (
     DEFAULT_NODES,
 )
 from .envelope import (
+    DEFAULT_PROBES_PER_SIDE,
     curvature_envelope,
     check_terms,
     sup_ratio_general,
@@ -303,16 +304,14 @@ def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
 
 
 def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
-                      nodes=DEFAULT_NODES, probes_per_side=None):
+                      nodes=DEFAULT_NODES,
+                      probes_per_side=DEFAULT_PROBES_PER_SIDE):
     """Curvature interval: inf h * sigma_2^2 <= J <= sup h * sigma_2^2.
 
     An unbounded curvature side propagates to an infinite endpoint, which is
     a valid if trivial one-sided statement, not an error.
     """
-    kwargs = {}
-    if probes_per_side is not None:
-        kwargs["probes_per_side"] = probes_per_side
-    h_lo, h_hi = curvature_envelope(f, **kwargs)
+    h_lo, h_hi = curvature_envelope(f, probes_per_side=probes_per_side)
     mean = _check_mean(f.mu, dist)
     moments = _moment_map(dist, [2.0], seed=seed, samples=samples, nodes=nodes)
     m2 = moments[2.0].sigma_p_pow

@@ -7,9 +7,14 @@ solver and packages the result with enough context to audit it.
 
 Extrema are located by a coarse scan over log-spaced offsets on each side of
 the mean, golden-section refinement of the surviving brackets, and a limit
-extrapolation at the two ends (``x -> mu`` and ``|x| -> inf``).  Probes whose
-ratio is indistinguishable from floating-point cancellation noise are
-discarded before any of that happens; see ``functions.noise_floor``.
+extrapolation at the two ends (``x -> mu`` and ``|x| -> inf``).  One scan
+serves every extremum asked of the same ratio: ``curvature_envelope`` takes
+its infimum and supremum from a single pass.  The brackets of both sides and
+of every extremum are then refined in lockstep, as array operations, with
+each bracket taking exactly the steps a scalar golden-section search would
+take.  Probes whose ratio is indistinguishable from floating-point
+cancellation noise are discarded before any of that happens; see
+``functions.noise_floor``.
 """
 
 import math
@@ -175,38 +180,130 @@ def _aitken(v1, v2, v3):
     return v3 + d2 * rho / (1.0 - rho)
 
 
-def _golden_section(scalar_w, lo, hi):
-    """Maximize scalar_w over log-offset in [lo, hi]; returns (t, w, width)."""
+def _climbs(v1, v2, v3):
+    """True when samples nearing the mean rise by steps that do not shrink.
+
+    v3 is the term nearest the mean.  A limit approached like a power law
+    rises by shrinking steps; equal or growing steps mean a climb that is at
+    least logarithmic, so no finite limit is in sight.  Steps within 1e-6 of
+    the value are taken for noise.
+    """
+    d1 = v2 - v1
+    d2 = v3 - v2
+    return d2 >= d1 > 0.0 and d2 > 1e-6 * abs(v3)
+
+
+def _golden_lockstep(w_at, lo, hi):
+    """Maximize over many log-offset brackets [lo, hi] at once.
+
+    Each bracket takes exactly the steps of a scalar golden-section search:
+    the same probe arithmetic, the same stop rules and its own iteration
+    count.  ``w_at(idx, t)`` returns the maximized quantity at log-offsets
+    ``t`` for the brackets numbered ``idx``; every iteration makes one call
+    for all brackets still running.  Returns arrays (t, w, width, iters).
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc = scalar_w(c)
-    fd = scalar_w(d)
-    iters = 0
-    while hi - lo > 1e-10 and iters < MAX_REFINE_ITERATIONS:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = scalar_w(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = scalar_w(d)
-        iters += 1
-    t = c if fc >= fd else d
-    return t, max(fc, fd), hi - lo, iters
+    every = np.arange(len(lo))
+    fc, fd = np.split(w_at(np.tile(every, 2), np.concatenate([c, d])), 2)
+    iters = np.zeros(len(lo), dtype=int)
+    while True:
+        live = every[(hi - lo > 1e-10) & (iters < MAX_REFINE_ITERATIONS)]
+        if not len(live):
+            break
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = hi[lt] - _GOLDEN * (hi[lt] - lo[lt])
+        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = lo[rt] + _GOLDEN * (hi[rt] - lo[rt])
+        w_new = w_at(live, np.where(left, c[live], d[live]))
+        fc[lt] = w_new[left]
+        fd[rt] = w_new[~left]
+        iters[live] += 1
+    # np.where mirrors the scalar max(fc, fd), which keeps fc on ties.
+    return np.where(fc >= fd, c, d), np.where(fd > fc, fd, fc), hi - lo, iters
 
 
-def _optimize(f, ratio_on, direction, *, max_offset, probes_per_side, positivity):
-    """Find the extremum of the ratio over the domain minus the mean.
+def _side_candidates(f, t_off, w, side_sign, unbounded):
+    """Limit and grid candidates of one side, plus the brackets to refine.
 
-    ratio_on(side_sign, offsets) must return (ratio, noise) arrays; the
-    solver maximizes ``direction * ratio``.  With ``positivity`` set, any
-    trusted probe with a non-positive ratio aborts the search, since the
-    comparison curve has the wrong sign there.
+    Brackets come back as (lo, hi, slot) in log-offset, where ``slot`` is the
+    place in the candidate list that the bracket's refined result takes, so
+    the list keeps the order in which ties are broken.
     """
     candidates = []
+    brackets = []
+    side_rank = 0 if side_sign > 0 else 1
+
+    # Limit samples a few grid steps apart extrapolate with a stronger
+    # contraction ratio than adjacent ones, which keeps the probe noise
+    # amplification of the delta-squared step near unity.
+    stride = max(1, min(8, (len(w) - 1) // 2))
+
+    near = (w[2 * stride], w[stride], w[0]) if len(w) >= 3 else None
+    if _diverges(t_off, w, at_start=True) or (near is not None and _climbs(*near)):
+        candidates.append(_Candidate(math.inf, 0.0, side_rank, None, AT_MU))
+    elif near is not None:
+        candidates.append(
+            _Candidate(float(_aitken(*near)), 0.0, side_rank, f.mu, AT_MU)
+        )
+    if unbounded:
+        if _diverges(t_off, w, at_start=False):
+            candidates.append(
+                _Candidate(math.inf, math.inf, side_rank, None, AT_INFINITY)
+            )
+        elif len(w) >= 3:
+            limit = _aitken(w[-1 - 2 * stride], w[-1 - stride], w[-1])
+            candidates.append(
+                _Candidate(float(limit), math.inf, side_rank, None, AT_INFINITY)
+            )
+
+    is_peak = np.ones(len(w), dtype=bool)
+    is_peak[1:] &= w[1:] >= w[:-1]
+    is_peak[:-1] &= w[:-1] >= w[1:]
+    order = np.nonzero(is_peak)[0]
+    order = order[np.argsort(w[order])[::-1][:MAX_BRACKETS]]
+    for i in order:
+        # The grid value itself stays in as a candidate: golden section
+        # never samples the bracket edges, so an extremum attained
+        # exactly at a probed point (a domain endpoint, say) would
+        # otherwise be lost.
+        candidates.append(
+            _Candidate(
+                float(w[i]),
+                float(t_off[i]),
+                side_rank,
+                f.mu + side_sign * float(t_off[i]),
+                INTERIOR,
+            )
+        )
+        lo = math.log(t_off[max(i - 1, 0)])
+        hi = math.log(t_off[min(i + 1, len(w) - 1)])
+        if hi - lo > 1e-12:
+            brackets.append((lo, hi, len(candidates)))
+            candidates.append(None)
+    return candidates, brackets
+
+
+def _optimize(f, ratio_on, directions, *, max_offset, probes_per_side, positivity):
+    """Find the extrema of the ratio over the domain minus the mean.
+
+    ratio_on(signs, offsets) must return (ratio, noise) arrays at
+    ``mu + signs * offsets``, with ``signs`` a side sign per offset or one
+    for all.  For each entry of ``directions`` the solver maximizes
+    ``direction * ratio`` and returns one (value, chosen, diag, near_mu)
+    tuple.  All directions share one probe scan per side, and every bracket
+    of every direction is refined in one lockstep search.  With
+    ``positivity`` set, any trusted probe with a non-positive ratio aborts
+    the search, since the comparison curve has the wrong sign there.
+    """
+    candidates = [[] for _ in directions]
     probes = 0
-    refinements = 0
+    # one row per bracket: (direction index, side sign, lo, hi, slot)
+    brackets = []
 
     for side_sign, top, unbounded in _sides(f, max_offset):
         offsets = np.geomspace(MIN_OFFSET, top, probes_per_side)
@@ -229,79 +326,54 @@ def _optimize(f, ratio_on, direction, *, max_offset, probes_per_side, positivity
                     "does not hold for this function"
                 )
 
-        w = direction * t_ratio
-        side_rank = 0 if side_sign > 0 else 1
-
-        # Limit samples a few grid steps apart extrapolate with a stronger
-        # contraction ratio than adjacent ones, which keeps the probe noise
-        # amplification of the delta-squared step near unity.
-        stride = max(1, min(8, (len(w) - 1) // 2))
-
-        if _diverges(t_off, w, at_start=True):
-            candidates.append(_Candidate(math.inf, 0.0, side_rank, None, AT_MU))
-        elif len(w) >= 3:
-            limit = _aitken(w[2 * stride], w[stride], w[0])
-            candidates.append(
-                _Candidate(float(limit), 0.0, side_rank, f.mu, AT_MU)
+        for k, direction in enumerate(directions):
+            found, side_brackets = _side_candidates(
+                f, t_off, direction * t_ratio, side_sign, unbounded
             )
-        if unbounded:
-            if _diverges(t_off, w, at_start=False):
-                candidates.append(
-                    _Candidate(math.inf, math.inf, side_rank, None, AT_INFINITY)
-                )
-            elif len(w) >= 3:
-                limit = _aitken(w[-1 - 2 * stride], w[-1 - stride], w[-1])
-                candidates.append(
-                    _Candidate(float(limit), math.inf, side_rank, None, AT_INFINITY)
-                )
-
-        def scalar_w(t, _sign=side_sign):
-            r, _ = ratio_on(_sign, np.array([math.exp(t)]))
-            return direction * float(r[0])
-
-        is_peak = np.ones(len(w), dtype=bool)
-        is_peak[1:] &= w[1:] >= w[:-1]
-        is_peak[:-1] &= w[:-1] >= w[1:]
-        order = np.nonzero(is_peak)[0]
-        order = order[np.argsort(w[order])[::-1][:MAX_BRACKETS]]
-        for i in order:
-            # The grid value itself stays in as a candidate: golden section
-            # never samples the bracket edges, so an extremum attained
-            # exactly at a probed point (a domain endpoint, say) would
-            # otherwise be lost.
-            candidates.append(
-                _Candidate(
-                    float(w[i]),
-                    float(t_off[i]),
-                    side_rank,
-                    f.mu + side_sign * float(t_off[i]),
-                    INTERIOR,
-                )
-            )
-            lo = math.log(t_off[max(i - 1, 0)])
-            hi = math.log(t_off[min(i + 1, len(w) - 1)])
-            if hi - lo <= 1e-12:
-                continue
-            t_best, w_best, width, iters = _golden_section(scalar_w, lo, hi)
-            refinements += iters
-            off_best = math.exp(t_best)
-            candidates.append(
-                _Candidate(
-                    float(w_best),
-                    off_best,
-                    side_rank,
-                    f.mu + side_sign * off_best,
-                    INTERIOR,
-                    width,
-                )
+            base = len(candidates[k])
+            candidates[k].extend(found)
+            brackets.extend(
+                (k, side_sign, lo, hi, base + slot) for lo, hi, slot in side_brackets
             )
 
-    if not candidates:
+    refinements = [0] * len(directions)
+    if brackets:
+        b_dir, b_sign, b_lo, b_hi, _ = (np.array(col) for col in zip(*brackets))
+        b_dir = np.asarray(directions, dtype=float)[b_dir]
+
+        def w_at(idx, t):
+            # math.exp per element, not np.exp: the two differ by an ulp on
+            # some inputs, which would move the refined attainment points.
+            offsets = np.array([math.exp(v) for v in t])
+            ratio, _ = ratio_on(b_sign[idx], offsets)
+            return b_dir[idx] * ratio
+
+        t_best, w_best, width, iters = _golden_lockstep(w_at, b_lo, b_hi)
+        for j, (k, side_sign, _, _, slot) in enumerate(brackets):
+            refinements[k] += int(iters[j])
+            off_best = math.exp(t_best[j])
+            candidates[k][slot] = _Candidate(
+                float(w_best[j]),
+                off_best,
+                0 if side_sign > 0 else 1,
+                f.mu + side_sign * off_best,
+                INTERIOR,
+                float(width[j]),
+            )
+
+    if not any(candidates):
         raise DegenerateEnvelopeError(
             "no probe rose above the floating-point noise floor; the ratio "
             "is numerically indistinguishable from zero everywhere"
         )
+    return [
+        _choose(direction, found, probes, spent)
+        for direction, found, spent in zip(directions, candidates, refinements)
+    ]
 
+
+def _choose(direction, candidates, probes, refinements):
+    """Best candidate, preferring the attainment point closest to the mean."""
     w_best = max(c.w for c in candidates)
     if math.isinf(w_best):
         tied = [c for c in candidates if math.isinf(c.w)]
@@ -354,16 +426,16 @@ def _sup_of_abs_ratio(f, terms, *, role, params, validated, probes_per_side):
     """sup over x != mu of |f(x) - f(mu)| / sum_eta a_eta |x - mu|^eta."""
     fmu = evaluate(f, f.mu)
 
-    def ratio_on(side_sign, offsets):
-        xs = f.mu + side_sign * offsets
+    def ratio_on(signs, offsets):
+        xs = f.mu + signs * offsets
         fx = eval_many(f, xs)
         den = _term_sum(offsets, terms, invert=False)
         return np.abs(fx - fmu) / den, noise_floor(fx, fmu) / den
 
-    value, chosen, diag, _ = _optimize(
+    [(value, chosen, diag, _)] = _optimize(
         f,
         ratio_on,
-        +1.0,
+        (+1.0,),
         max_offset=_offset_cap(terms),
         probes_per_side=probes_per_side,
         positivity=False,
@@ -388,16 +460,16 @@ def _inf_of_signed_ratio(f, terms, sign, *, role, params, validated, probes_per_
     fmu = evaluate(f, f.mu)
     flip = -1.0 if sign == GAP_BELOW else 1.0
 
-    def ratio_on(side_sign, offsets):
-        xs = f.mu + side_sign * offsets
+    def ratio_on(signs, offsets):
+        xs = f.mu + signs * offsets
         fx = eval_many(f, xs)
         mult = _term_sum(offsets, terms, invert=True)
         return flip * (fx - fmu) * mult, noise_floor(fx, fmu) * mult
 
-    value, chosen, diag, near_mu = _optimize(
+    [(value, chosen, diag, near_mu)] = _optimize(
         f,
         ratio_on,
-        -1.0,
+        (-1.0,),
         max_offset=_offset_cap(terms),
         probes_per_side=probes_per_side,
         positivity=True,
@@ -483,33 +555,32 @@ def curvature_envelope(f, *, probes_per_side=DEFAULT_PROBES_PER_SIDE):
     slope = select_shift_slope(f)
     fmu = evaluate(f, f.mu)
 
-    def ratio_on(side_sign, offsets):
-        xs = f.mu + side_sign * offsets
+    def ratio_on(signs, offsets):
+        xs = f.mu + signs * offsets
         fx = eval_many(f, xs)
-        num = fx - fmu - slope * side_sign * offsets
+        num = fx - fmu - slope * signs * offsets
         noise = noise_floor(fx, fmu) + 16.0 * EPS * abs(slope) * offsets
         den = offsets ** 2
         return num / den, noise / den
 
-    cap = _offset_cap(((2.0, 1.0),))
+    solved = _optimize(
+        f,
+        ratio_on,
+        (-1.0, +1.0),
+        max_offset=_offset_cap(((2.0, 1.0),)),
+        probes_per_side=probes_per_side,
+        positivity=False,
+    )
     params = (("slope", float(slope)),)
-    out = []
-    for direction, role in ((-1.0, "curvature_inf"), (+1.0, "curvature_sup")):
-        value, chosen, diag, _ = _optimize(
-            f,
-            ratio_on,
-            direction,
-            max_offset=cap,
-            probes_per_side=probes_per_side,
-            positivity=False,
+    return tuple(
+        EnvelopeConstant(
+            value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
+            f.label,
         )
-        out.append(
-            EnvelopeConstant(
-                value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
-                f.label,
-            )
+        for role, (value, chosen, diag, _) in zip(
+            ("curvature_inf", "curvature_sup"), solved
         )
-    return tuple(out)
+    )
 
 
 def sup_ratio_general(f, terms, mode, sign=GAP_ABOVE, *, validate=True,

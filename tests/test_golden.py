@@ -1,0 +1,62 @@
+"""Byte-for-byte CLI output against stored goldens.
+
+Each case runs one CLI call with a fixed seed and compares stdout with
+``tests/golden/<name>.json``.  A change that moves any printed digit, key or
+diagnostic fails here; the goldens are only regenerated on purpose, for a
+change whose output is meant to differ.
+"""
+
+import pathlib
+
+import pytest
+
+import jensengap.cli as cli
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+COS = '{"kind": "cos", "mu": 0}'
+SQUARE = '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1]}'
+POW4_AT_1 = '{"kind": "pow4", "mu": 1}'
+LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 0.5}'
+GAUSS_AT_1 = '{"variant": "gaussian", "mean": 1, "stddev": 0.3}'
+UNIFORM = '{"variant": "uniform", "lo": -1, "hi": 1}'
+AVG = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
+       '"lo": -1, "hi": 1}, "n": 4}')
+
+SEED = ["--seed", "11"]
+
+CASES = {
+    "bound_upper": ["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
+                    "--function", COS, "--dist", LAPLACE, *SEED],
+    "bound_lower": ["bound", "--kind", "lower", "--alpha", "2", "--beta", "2",
+                    "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    "bound_holder": ["bound", "--kind", "holder", "--alpha", "2", "--beta", "2",
+                     "--k", "1", "--q", "2",
+                     "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    "bound_holder_single": ["bound", "--kind", "holder_single", "--alpha", "2",
+                            "--beta", "2", "--k", "1",
+                            "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    "bound_variance": ["bound", "--kind", "variance",
+                       "--function", COS, "--dist", UNIFORM, *SEED],
+    "bound_variance_pow4": ["bound", "--kind", "variance",
+                            "--function", POW4_AT_1, "--dist", GAUSS_AT_1,
+                            *SEED],
+    "bound_general_upper": ["bound", "--kind", "general_upper",
+                            "--terms", "[[2, 1], [4, 0.5]]",
+                            "--function", COS, "--dist", LAPLACE, *SEED],
+    "bound_general_lower": ["bound", "--kind", "general_lower",
+                            "--terms", "[[2, 1], [4, 1]]",
+                            "--function", POW4_AT_1, "--dist", GAUSS_AT_1,
+                            *SEED],
+    "oracle_mean_of_n": ["oracle", "--function", COS, "--dist", AVG,
+                         "--samples", "4000", *SEED],
+    "examples": ["examples"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(capsys, name):
+    code = cli.main([*CASES[name], "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
