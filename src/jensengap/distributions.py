@@ -42,6 +42,8 @@ TAIL_REL_TOL = 1e-12
 QUAD_EPSABS = 1.49e-8
 QUAD_EPSREL = 1.49e-8
 _CHUNK = 1 << 24  # base draws per chunk when averaging, to bound memory
+# where the tail fit probes |g|, as multiples of the truncation radius T
+_GROWTH_PROBES = np.geomspace(1.0, 4.0, 5)
 
 
 class Expectation(NamedTuple):
@@ -359,13 +361,18 @@ class _NamedContinuous(Distribution):
     """Shared quadrature machinery: estimated rule error, rigorous tail bound.
 
     The integral E[g(X)] is taken over [mean - T, mean + T] by adaptive
-    Gauss-Kronrod quadrature, whose error is an estimate, not a bound; T
-    grows until an analytic bound on the discarded tail drops below
-    TAIL_REL_TOL of the integral.  The tail bound
-    fits |g(x)| <= C (1 + |x - mean|^k) from probes beyond T (or from
-    ``growth_hint`` when the caller knows k) and then applies Cauchy-Schwarz
-    against the family's closed-form moments, all in log space so extreme
-    parameters cannot overflow.
+    Gauss-Kronrod quadrature, whose error is an estimate, not a bound.  T
+    runs through 12 scale, 12 scale * 1.6, ... and the first T whose
+    analytic bound on the discarded tail is at most TAIL_REL_TOL of the
+    integral is kept.  The tail bound needs no quadrature, so T is chosen
+    before integrating: once the first pass has converged, twice its
+    |integral| + tail + rule error bounds the integral at every wider T, and
+    radii whose tail bound is above TAIL_REL_TOL of that are never
+    integrated.  When the first pass runs out of ``nodes``, every radius is
+    integrated and tested.  The tail bound fits |g(x)| <= C (1 + |x - mean|^k)
+    from probes beyond T (or from ``growth_hint`` when the caller knows k)
+    and then applies Cauchy-Schwarz against the family's closed-form
+    moments, all in log space so extreme parameters cannot overflow.
     """
 
     def _scale(self):
@@ -384,7 +391,7 @@ class _NamedContinuous(Distribution):
 
     def _fit_growth(self, g, t_offset, growth_hint):
         mu = self.mean()
-        offs = t_offset * np.geomspace(1.0, 4.0, 5)
+        offs = t_offset * _GROWTH_PROBES
         xs = np.concatenate([mu + offs, mu - offs])
         vals = np.abs(_apply(g, xs))
         if growth_hint is not None:
@@ -409,14 +416,24 @@ class _NamedContinuous(Distribution):
         mu = self.mean()
         t_offset = 12.0 * self._scale()
         integrand = lambda xs: _apply(g, xs) * self._pdf(xs)
-        for _ in range(16):
+        log_skip = math.inf  # a radius whose log tail bound exceeds this cannot pass
+        for i in range(16):
+            log_tail = self._log_tail_bound(g, t_offset, growth_hint)
+            if log_tail > log_skip:
+                t_offset *= 1.6
+                continue
             value, quad_err, evals = _gauss_kronrod(
                 integrand, mu - t_offset, mu, mu + t_offset, nodes)
-            log_tail = self._log_tail_bound(g, t_offset, growth_hint)
             tol = TAIL_REL_TOL * max(abs(value), 1e-6)
             if log_tail <= math.log(tol):
                 tail = math.exp(log_tail)
                 return Expectation(value, quad_err + tail, "quadrature", evals)
+            if i == 0 and quad_err <= max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
+                # widening the interval adds at most the tail beyond the first
+                # radius, so no later integral exceeds twice this in magnitude
+                log_bound = math.log(2.0) + np.logaddexp(
+                    math.log(abs(value) + quad_err + QUAD_EPSABS), log_tail)
+                log_skip = math.log(TAIL_REL_TOL) + max(log_bound, math.log(1e-6))
             t_offset *= 1.6
         raise EvaluationError("tail bound did not certify; the integrand grows too fast")
 
@@ -598,6 +615,7 @@ class MeanOfN(Distribution):
             out[done:done + take] = block.reshape(take, self.n).mean(axis=1)
             done += take
             chunk += 1
+            del block  # free it before the next chunk is drawn
         return out
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,

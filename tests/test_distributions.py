@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jensengap
+import jensengap.distributions as distributions
 from jensengap.distributions import (
     _GK_GAUSS_WEIGHTS,
     _GK_KRONROD_WEIGHTS,
     _GK_NODES,
+    TAIL_REL_TOL,
     Discrete,
     Empirical,
+    Expectation,
     Gaussian,
     Laplace,
     MeanOfN,
@@ -25,7 +28,7 @@ from jensengap.distributions import (
     three_point,
     two_point,
 )
-from jensengap.errors import InvalidParameterError
+from jensengap.errors import EvaluationError, InvalidParameterError
 
 ORDERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 
@@ -120,6 +123,75 @@ def test_quadrature_route_agrees_with_closed_form():
                 quad.abs_error_estimate, 1e-12)
 
 
+def _expect_every_radius(dist, g, nodes, growth_hint):
+    """Reference truncation loop: integrate at every radius, keep the first that passes."""
+    mu, t_offset = dist.mean(), 12.0 * dist._scale()
+    integrand = lambda xs: distributions._apply(g, xs) * dist._pdf(xs)
+    for _ in range(16):
+        value, quad_err, evals = distributions._gauss_kronrod(
+            integrand, mu - t_offset, mu, mu + t_offset, nodes)
+        log_tail = dist._log_tail_bound(g, t_offset, growth_hint)
+        if log_tail <= math.log(TAIL_REL_TOL * max(abs(value), 1e-6)):
+            return Expectation(value, quad_err + math.exp(log_tail), "quadrature", evals)
+        t_offset *= 1.6
+    raise EvaluationError("tail bound did not certify; the integrand grows too fast")
+
+
+# cos, sin, pow4 at 1 and abs_power 0.5, 1.5 and 3
+IDENTITY_FUNCTIONS = (
+    np.cos,
+    np.sin,
+    lambda x: (x - 1.0) ** 4,
+    lambda x: np.abs(x) ** 0.5,
+    lambda x: np.abs(x) ** 1.5,
+    lambda x: np.abs(x) ** 3,
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EvaluationError as exc:
+        return str(exc)
+
+
+def test_expect_matches_integrating_every_radius():
+    """Skipping radii that cannot pass returns the very tuple of the full loop."""
+    rng = np.random.default_rng(20)
+    for _ in range(240):
+        family = (Gaussian, Laplace)[int(rng.integers(2))]
+        mean = float(rng.uniform(-2.0, 2.0))
+        dist = family(mean, float(10.0 ** rng.uniform(-3.0, math.log10(30.0))))
+        nodes = int(rng.choice([42, 210, 2048]))
+        g = IDENTITY_FUNCTIONS[int(rng.integers(len(IDENTITY_FUNCTIONS)))]
+        hint = (None, 2, 4)[int(rng.integers(3))]
+        want = _outcome(lambda: _expect_every_radius(dist, g, nodes, hint))
+        got = _outcome(lambda: dist.expect(g, nodes=nodes, growth_hint=hint))
+        assert got == want, (dist, nodes, hint)
+        p = float(rng.uniform(0.3, 6.0))
+        est = _expect_every_radius(dist, lambda x: np.abs(x - mean) ** p, nodes, p)
+        got = dist.abs_central_moment(p, method="quadrature", nodes=nodes)
+        want = distributions._moment(p, est.value, "quadrature", est.abs_error)
+        assert got == want, (dist, p, nodes)
+    # the first pass runs out of nodes here and a wider, also unconverged
+    # pass happens to pass the tail test, so no radius may be skipped
+    dist = Laplace(0.0, 7.641068447412353)
+    assert dist.expect(np.cos, nodes=210) == _expect_every_radius(dist, np.cos, 210, None)
+
+
+def test_truncation_radius_is_chosen_before_integrating(monkeypatch):
+    calls = []
+    rule = distributions._gauss_kronrod
+    monkeypatch.setattr(distributions, "_gauss_kronrod",
+                        lambda *args: calls.append(args) or rule(*args))
+    Laplace(0.0, 0.5).expect(np.cos)
+    # T = 6, then straight to the radius that passes, not through every one between
+    assert len(calls) <= 2
+    calls.clear()
+    Gaussian(0.0, 0.5).expect(np.cos)
+    assert len(calls) == 1
+
+
 def _rule_on_unit_interval(weights, degree):
     # the [-1, 1] rule mapped to [0, 1], where every monomial integrates to 1/(d+1)
     return 0.5 * float(weights @ (0.5 + 0.5 * _GK_NODES) ** degree)
@@ -174,6 +246,17 @@ def test_mean_of_n_variance_scaling():
     mv = avg.abs_central_moment(2.0, seed=3)
     want = base.abs_central_moment(2.0).sigma_p_pow / 16.0
     assert abs(mv.sigma_p_pow - want) <= 4.0 * mv.abs_error_estimate
+
+
+def test_mean_of_n_chunks_are_separate_streams(monkeypatch):
+    # 3 rows per chunk, so 8 rows take three chunks of 3, 3 and 2 rows
+    monkeypatch.setattr(distributions, "_CHUNK", 12)
+    base, n = Laplace(0.5, 2.0), 4
+    got = MeanOfN(base, n).sample(8, seed=7, purpose="gap")
+    want = np.concatenate([
+        base.sample(rows * n, 7, purpose=f"gap/base/{k}").reshape(rows, n).mean(axis=1)
+        for k, rows in enumerate((3, 3, 2))])
+    assert np.array_equal(got, want)
 
 
 def test_empirical_exact():

@@ -20,6 +20,8 @@ POW4_AT_1 = '{"kind": "pow4", "mu": 1}'
 LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 0.5}'
 GAUSS_AT_1 = '{"variant": "gaussian", "mean": 1, "stddev": 0.3}'
 UNIFORM = '{"variant": "uniform", "lo": -1, "hi": 1}'
+WIDE_LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 8}'
+ABS_POWER_15 = '{"kind": "abs_power", "mu": 0, "alpha": 1.5}'
 AVG = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
        '"lo": -1, "hi": 1}, "n": 4}')
 
@@ -50,6 +52,19 @@ CASES = {
                             *SEED],
     "oracle_mean_of_n": ["oracle", "--function", COS, "--dist", AVG,
                          "--samples", "4000", *SEED],
+    "oracle_cos_laplace": ["oracle", "--function", COS, "--dist", LAPLACE,
+                           *SEED],
+    "oracle_pow4_gaussian": ["oracle", "--function", POW4_AT_1,
+                             "--dist", GAUSS_AT_1, *SEED],
+    "oracle_abs_power_laplace": ["oracle", "--function", ABS_POWER_15,
+                                 "--dist", LAPLACE, *SEED],
+    "oracle_cos_uniform": ["oracle", "--function", COS, "--dist", UNIFORM,
+                           *SEED],
+    # 210 evaluations do not reach the tolerance on [-96, 96]: the printed
+    # value and error bar are what the exhausted budget gives
+    "oracle_cos_wide_laplace_budget": ["oracle", "--function", COS,
+                                       "--dist", WIDE_LAPLACE,
+                                       "--nodes", "210", *SEED],
     "examples": ["examples"],
 }
 
