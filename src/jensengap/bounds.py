@@ -5,7 +5,7 @@ carries everything needed to audit or serialize the claim: the envelope
 constant with its attainment point, every moment value used with its
 provenance, the parameter set, and an uncertainty that folds the moment
 error estimates through the formula (the formula itself is exact; only
-sampled moments make a bound value uncertain).
+sampled or integrated moments make a bound value uncertain).
 
 Moment-power notation: for order r the quantity sigma_r^r is written m_r
 below, with m_0 = 1 by the |t|^0 = 1 convention.
@@ -114,17 +114,6 @@ def _require_envelope(M, role, **expected):
             )
 
 
-def _moment_map(dist, orders, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
-                nodes=DEFAULT_NODES):
-    out = {}
-    for p in orders:
-        p = float(p)
-        if p not in out:
-            out[p] = dist.abs_central_moment(p, seed=seed, samples=samples,
-                                             nodes=nodes)
-    return out
-
-
 def _evaluate_with_uncertainty(formula, moments):
     """Apply a formula of the m_r values; bump each by its error estimate.
 
@@ -154,8 +143,8 @@ def upper_bound(M, dist, alpha, n, *, seed=None,
     n = float(n)
     _require_envelope(M, "upper_sup", alpha=alpha, n=n)
     mean = _check_mean(M.mu, dist)
-    moments = _moment_map(dist, [alpha, n], seed=seed, samples=samples,
-                          nodes=nodes)
+    moments = dist.abs_central_moments([alpha, n], seed=seed, samples=samples,
+                                       nodes=nodes)
 
     def tight(m):
         return M.value * (m[alpha] + m[n])
@@ -207,8 +196,8 @@ def lower_bound_cauchy_schwarz(M, dist, alpha, beta, *, seed=None,
     mean = _check_mean(M.mu, dist)
     half = alpha / 2.0
     diff = alpha - beta
-    moments = _moment_map(dist, [half, diff], seed=seed, samples=samples,
-                          nodes=nodes)
+    moments = dist.abs_central_moments([half, diff], seed=seed, samples=samples,
+                                       nodes=nodes)
 
     def formula(m):
         return M.value * m[half] ** 2 / (1.0 + m[diff])
@@ -259,8 +248,8 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
     diff = alpha - beta
     num_orders = [alpha / p + l * diff for l in range(top + 1)]
     den_orders = [l * diff for l in range(k + 1)]
-    moments = _moment_map(dist, num_orders + den_orders, seed=seed,
-                          samples=samples, nodes=nodes)
+    moments = dist.abs_central_moments(num_orders + den_orders, seed=seed,
+                                       samples=samples, nodes=nodes)
 
     def formula(m):
         num = sum(math.comb(top, l) * m[float(alpha / p + l * diff)]
@@ -288,8 +277,8 @@ def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
     r = alpha * k / (k + 1.0)
     diff = alpha - beta
     den_orders = [l * diff for l in range(k + 1)]
-    moments = _moment_map(dist, [r] + den_orders, seed=seed, samples=samples,
-                          nodes=nodes)
+    moments = dist.abs_central_moments([r] + den_orders, seed=seed,
+                                       samples=samples, nodes=nodes)
 
     def formula(m):
         num = m[r] ** ((k + 1.0) / k)
@@ -313,7 +302,8 @@ def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
     """
     h_lo, h_hi = curvature_envelope(f, probes_per_side=probes_per_side)
     mean = _check_mean(f.mu, dist)
-    moments = _moment_map(dist, [2.0], seed=seed, samples=samples, nodes=nodes)
+    moments = dist.abs_central_moments([2.0], seed=seed, samples=samples,
+                                       nodes=nodes)
     m2 = moments[2.0].sigma_p_pow
     err2 = moments[2.0].abs_error_estimate
 
@@ -390,8 +380,8 @@ def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
         M = sup_ratio_general(f, terms, "sup", validate=validate)
         mean = _check_mean(f.mu, dist)
         orders = [eta for eta, _ in terms]
-        moments = _moment_map(dist, orders, seed=seed, samples=samples,
-                              nodes=nodes)
+        moments = dist.abs_central_moments(orders, seed=seed, samples=samples,
+                                           nodes=nodes)
 
         def formula(m):
             return M.value * sum(a * m[eta] for eta, a in terms)
@@ -428,7 +418,8 @@ def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
         den_terms = _tuple_denominator_orders(terms, alpha, k)
     root = 1.0 if k is None else 1.0 / k
     orders = [num_order] + [order for _, order in den_terms]
-    moments = _moment_map(dist, orders, seed=seed, samples=samples, nodes=nodes)
+    moments = dist.abs_central_moments(orders, seed=seed, samples=samples,
+                                       nodes=nodes)
 
     def formula(m):
         num = m[float(num_order)] ** num_power

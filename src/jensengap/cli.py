@@ -430,6 +430,14 @@ SWEEP_DEFAULTS = {
 }
 
 
+def _parse_grid(text):
+    try:
+        return [float(s) for s in str(text).split(",") if s.strip()]
+    except ValueError:
+        raise InvalidParameterError(
+            f"--grid must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_sweep(args):
     opts = merged_options(args, SWEEP_DEFAULTS)
     mode = opts["mode"]
@@ -444,12 +452,12 @@ def cmd_sweep(args):
     alpha, n = float(opts["alpha"]), float(opts["n"])
 
     if mode == "two_point":
-        grid = opts["grid"] or "0.4,0.2,0.1,0.05"
-        sigmas = [float(s) for s in str(grid).split(",") if s.strip()]
+        sigmas = _parse_grid(opts["grid"] or "0.4,0.2,0.1,0.05")
         result = two_point_sweep(f, sigmas, alpha=alpha, n=n, seed=opts["seed"])
     else:
-        grid = opts["grid"] or "4,16,64,256"
-        ns = [int(s) for s in str(grid).split(",") if s.strip()]
+        # whole numbers only: mean_of_n_sweep rejects 4.5 rather than
+        # truncating it
+        ns = _parse_grid(opts["grid"] or "4,16,64,256")
         if opts["dist"] is None:
             base = distribution_from_dict(
                 {"variant": "uniform", "lo": -1.0, "hi": 1.0}
@@ -497,7 +505,8 @@ def _add_data_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to JGB_SEED, then 0)")
     p.add_argument("--samples", type=int, default=None,
-                   help="Monte Carlo sample count")
+                   help="Monte Carlo sample count (exact sums, closed forms "
+                        "and quadrature ignore it)")
 
 
 def _add_nodes_flag(p):

@@ -3,22 +3,30 @@
 Every moment-based gap bound in this package is a function of these sigma_p,
 so the moment path is kept honest three ways: discrete families use exactly
 rounded sums, the named continuous families use closed forms (cross-checked
-against quadrature in the tests), and sampling families use seeded Monte
-Carlo with a CLT error bar.
+against quadrature in the tests), and means of n draws use seeded Monte
+Carlo with a CLT error bar where no exact route exists.
 
 Convention: |t|^0 is 1 for every t, including t = 0, so sigma_0 = 1 always.
 This keeps the k-term denominators of the lower bounds finite without
 special cases.
 
+The mean of n independent draws (``MeanOfN``) takes its even integer
+moments in closed form from the base's central moments, for every base.
+Its expectations and other moments are exact where the base has a known
+density of the mean: a Gaussian base gives another Gaussian, and Laplace
+and uniform bases give a density that the quadrature below integrates.
+Discrete, empirical and nested bases fall back to seeded Monte Carlo.
+
 Each distribution also knows how to take a plain expectation E[g(X)]
 (``expect``), which is the computational core of the gap oracle: exact
 summation where the support is finite, adaptive Gauss-Kronrod quadrature
-for the named densities (its error bar is the rule's estimate plus, on
-unbounded support, a rigorous bound on the truncated tail), Monte Carlo for
-averaged families.
+for the named densities and the means of Laplace or uniform draws (its
+error bar is the rule's estimate plus, on unbounded support, a rigorous
+bound on the truncated tail), Monte Carlo for means of other bases.
 """
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +50,20 @@ TAIL_REL_TOL = 1e-12
 QUAD_EPSABS = 1.49e-8
 QUAD_EPSREL = 1.49e-8
 _CHUNK = 1 << 24  # base draws per chunk when averaging, to bound memory
+# the mean of n uniform draws takes the Irwin-Hall polynomial density below
+# this n; it cancels catastrophically as n grows, so from this n on the
+# density is the Fourier inversion of the characteristic function
+IRWIN_HALL_BELOW = 8
+# the inversion integral is cut at the T where the dropped density, summed
+# over the support, is at most this bound (which joins the error bar)
+INVERSION_TOL = 1e-15
+# the closed-form moments of a mean of n draws cost about the cube of the
+# order; even orders above this take the route of the other orders
+MAX_SERIES_ORDER = 100
+_PANEL_PHASE = 4.0  # width of one inversion panel, times the half-width
+_OUTER_CELLS = 1 << 18  # table cells per block of density points
+# Laplace-mean mixture weights below this fraction of the largest are dropped
+_MIX_LOG_FLOOR = math.log(1e-20)
 # where the tail fit probes |g|, as multiples of the truncation radius T
 _GROWTH_PROBES = np.geomspace(1.0, 4.0, 5)
 
@@ -83,6 +105,38 @@ def _check_order(p):
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 0):
         raise InvalidParameterError(f"moment order must be a finite real >= 0, got {p}")
     return float(p)
+
+
+def check_count(n, what="n"):
+    """``n`` as an int; InvalidParameterError unless it is a whole number >= 1.
+
+    A bool is not a count, and 2.7 is not rounded down: both are rejected.
+    """
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not math.isfinite(n) or n < 1 or n != int(n)):
+        raise InvalidParameterError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _binomial_convolve(a, b):
+    """Moments of Y + Z for independent Y, Z with moments a and b:
+    E(Y + Z)^k = sum_j C(k, j) E[Y^j] E[Z^(k - j)], for k < len(a)."""
+    return [math.fsum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+            for k in range(len(a))]
+
+
+def _central_list(p, moment):
+    """[E(X - mu)^j for j = 0..p] with ``moment(j)`` for j >= 2: the total
+    mass and the first central moment are 1 and 0 by definition, not by a
+    sum that rounds."""
+    return [1.0, 0.0][:p + 1] + [moment(j) for j in range(2, p + 1)]
+
+
+def _blockwise(fn, xs, width):
+    """``fn`` over xs in blocks, so that a table of ``width`` cells per point
+    never holds more than _OUTER_CELLS cells."""
+    step = max(1, _OUTER_CELLS // width)
+    return np.concatenate([fn(xs[i:i + step]) for i in range(0, xs.size, step)])
 
 
 def _apply(g, xs):
@@ -223,25 +277,48 @@ class Distribution(ABC):
                            samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
         """sigma_p as a MomentValue.  ``method`` picks the route:
 
-        "auto" uses the best available (exact sums, closed forms, Monte
-        Carlo for averaged families); "quadrature" and "monte_carlo" force
-        those routes where they make sense, mainly for cross-checking.
+        "auto" uses the best available (exact sums, closed forms,
+        quadrature, Monte Carlo where nothing exact exists); "closed_form",
+        "quadrature" and "monte_carlo" force those routes where they make
+        sense, mainly for cross-checking.
         """
         p = _check_order(p)
-        if p == 0:
-            return _moment(0.0, 1.0, "closed_form", 0.0)
-        return self._moment_pow(p, method, seed, samples, nodes)
+        return self.abs_central_moments([p], method, seed, samples, nodes)[p]
+
+    def abs_central_moments(self, orders, method="auto", seed=None,
+                            samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
+        """{float(p): MomentValue} for each distinct order, in first-seen order.
+
+        Orders that take the Monte Carlo route share one batch of draws
+        (purpose "moments"), drawn at most once per call, so empirical
+        moment inequalities hold exactly between the estimates.
+        """
+        batch = []
+
+        def draws():
+            if not batch:
+                batch.append(self.sample(samples, seed, purpose="moments"))
+            return batch[0]
+
+        out = {}
+        for p in orders:
+            p = _check_order(p)
+            if p not in out:
+                out[p] = (_moment(0.0, 1.0, "closed_form", 0.0) if p == 0
+                          else self._moment_pow(p, method, nodes, draws))
+        return out
 
     @abstractmethod
-    def _moment_pow(self, p, method, seed, samples, nodes):
-        ...
+    def _moment_pow(self, p, method, nodes, draws):
+        """E|X - mu|^p for p > 0 as a MomentValue; ``draws()`` returns the
+        shared Monte Carlo batch."""
 
-    def _moment_monte_carlo(self, p, seed, samples):
-        mu = self.mean()
-        # one shared batch per (dist, seed) across all orders p, so empirical
-        # moment inequalities hold exactly for the estimates
-        draws = self.sample(samples, seed, purpose="moments")
-        powed = np.abs(draws - mu) ** p
+    @abstractmethod
+    def _central_moments(self, p):
+        """[E(X - mu)^j for j = 0..p] for an integer p, exact to rounding."""
+
+    def _moment_monte_carlo(self, p, draws):
+        powed = np.abs(draws() - self.mean()) ** p
         est = float(np.mean(powed))
         err = CLT_FACTOR * float(np.std(powed)) / math.sqrt(len(powed))
         return _moment(p, est, "monte_carlo", err)
@@ -296,14 +373,18 @@ class Discrete(Distribution):
         total = math.fsum(q * v for (_, q), v in zip(self.points, vals))
         return Expectation(total, 0.0, "exact_sum", len(self.points))
 
-    def _moment_pow(self, p, method, seed, samples, nodes):
+    def _moment_pow(self, p, method, nodes, draws):
         if method == "monte_carlo":
-            return self._moment_monte_carlo(p, seed, samples)
+            return self._moment_monte_carlo(p, draws)
         if method not in ("auto", "exact_sum"):
             raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
         mu = self.mean()
         pow_value = math.fsum(q * abs(x - mu) ** p for x, q in self.points)
         return _moment(p, pow_value, "exact_sum", 0.0)
+
+    def _central_moments(self, p):
+        mu = self.mean()
+        return _central_list(p, lambda j: math.fsum(q * (x - mu) ** j for x, q in self.points))
 
     def to_dict(self):
         return {"variant": "discrete", "points": [[x, q] for x, q in self.points]}
@@ -341,14 +422,19 @@ class Empirical(Distribution):
         total = math.fsum(vals) / len(self.samples)
         return Expectation(total, 0.0, "exact_sum", len(self.samples))
 
-    def _moment_pow(self, p, method, seed, samples, nodes):
+    def _moment_pow(self, p, method, nodes, draws):
         if method == "monte_carlo":
-            return self._moment_monte_carlo(p, seed, samples)
+            return self._moment_monte_carlo(p, draws)
         if method not in ("auto", "exact_sum"):
             raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
         mu = self.mean()
         pow_value = math.fsum(abs(v - mu) ** p for v in self.samples) / len(self.samples)
         return _moment(p, pow_value, "exact_sum", 0.0)
+
+    def _central_moments(self, p):
+        mu = self.mean()
+        return _central_list(p, lambda j: math.fsum((v - mu) ** j for v in self.samples)
+                             / len(self.samples))
 
     def to_dict(self):
         return {"variant": "empirical", "samples": list(self.samples)}
@@ -359,6 +445,9 @@ class Empirical(Distribution):
 
 class _NamedContinuous(Distribution):
     """Shared quadrature machinery: estimated rule error, rigorous tail bound.
+
+    The named families are symmetric about their mean; ``MeanOfN`` reuses
+    the machinery for the mean of n Laplace draws.
 
     The integral E[g(X)] is taken over [mean - T, mean + T] by adaptive
     Gauss-Kronrod quadrature, whose error is an estimate, not a bound.  T
@@ -437,16 +526,24 @@ class _NamedContinuous(Distribution):
             t_offset *= 1.6
         raise EvaluationError("tail bound did not certify; the integrand grows too fast")
 
-    def _moment_pow(self, p, method, seed, samples, nodes):
+    def _moment_pow(self, p, method, nodes, draws):
         if method in ("auto", "closed_form"):
             return _moment(p, math.exp(self._log_abs_moment_pow(p)), "closed_form", 0.0)
         if method == "quadrature":
-            mu = self.mean()
-            est = self.expect(lambda x: np.abs(x - mu) ** p, nodes=nodes, growth_hint=p)
-            return _moment(p, est.value, "quadrature", est.abs_error)
+            return self._moment_quadrature(p, nodes)
         if method == "monte_carlo":
-            return self._moment_monte_carlo(p, seed, samples)
+            return self._moment_monte_carlo(p, draws)
         raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
+
+    def _moment_quadrature(self, p, nodes):
+        mu = self.mean()
+        est = self.expect(lambda x: np.abs(x - mu) ** p, nodes=nodes, growth_hint=p)
+        return _moment(p, est.value, "quadrature", est.abs_error)
+
+    def _central_moments(self, p):
+        # symmetric about the mean: the odd central moments vanish
+        return _central_list(p, lambda j: 0.0 if j % 2 else
+                             math.exp(self._log_abs_moment_pow(j)))
 
 
 @dataclass(frozen=True)
@@ -577,12 +674,28 @@ class Uniform(_NamedContinuous):
 # Mean of n independent copies
 
 @dataclass(frozen=True)
-class MeanOfN(Distribution):
+class MeanOfN(_NamedContinuous):
     """Distribution of the average of n independent draws from ``base``.
 
-    No closed form is attempted: moments and expectations are seeded Monte
-    Carlo with CLT error bars.  The exact mean is inherited from the base,
-    so the oracle's f(E[X]) term stays exact.
+    Even integer moments are closed form for every base: the central
+    moments of one (X_i - mu)/n are raised to the n-th power under binomial
+    convolution, which is how moments of independent sums compose, so the
+    result is exact to rounding.  Expectations and the other moment orders
+    are exact where the base gives the mean a known density:
+
+    - a Gaussian base gives Gaussian(mu, sigma/sqrt(n));
+    - a Laplace base gives |S|/b, for S the centred sum, a negative-binomial
+      mixture of Gamma(k+1) laws, k < n, integrated by the named families'
+      truncated quadrature with a Chernoff bound on the tail;
+    - a uniform base gives the Irwin-Hall density below IRWIN_HALL_BELOW
+      and the inversion (1/pi) int_0^T phi(t/n)^n cos(t (x - mu)) dt above
+      it, integrated over the bounded support; the density the cut at T
+      drops is bounded in closed form and joins the error bar.
+
+    Other bases (discrete, empirical, nested means) take seeded Monte Carlo
+    with CLT error bars for their gaps and their other moment orders.  The
+    exact mean is inherited from the base, so the oracle's f(E[X]) term
+    stays exact.
     """
 
     base: Distribution
@@ -591,8 +704,7 @@ class MeanOfN(Distribution):
     variant = "mean_of_n"
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidParameterError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", check_count(self.n))
 
     def mean(self):
         return self.base.mean()
@@ -618,18 +730,150 @@ class MeanOfN(Distribution):
             del block  # free it before the next chunk is drawn
         return out
 
+    def _gaussian(self):
+        return Gaussian(self.base.mean_value, self.base.stddev / math.sqrt(self.n))
+
+    def _has_density(self):
+        return isinstance(self.base, (Gaussian, Laplace, Uniform))
+
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, growth_hint=None):
+        if isinstance(self.base, Gaussian):
+            return self._gaussian().expect(g, nodes=nodes, growth_hint=growth_hint)
+        if isinstance(self.base, Laplace):
+            return super().expect(g, nodes=nodes, growth_hint=growth_hint)
+        if isinstance(self.base, Uniform):
+            return self._expect_uniform_mean(g, nodes)
         draws = self.sample(int(samples), seed, purpose="gap")
         vals = _apply(g, draws)
         est = float(np.mean(vals))
         err = CLT_FACTOR * float(np.std(vals)) / math.sqrt(len(vals))
         return Expectation(est, err, "monte_carlo", len(vals))
 
-    def _moment_pow(self, p, method, seed, samples, nodes):
-        if method not in ("auto", "monte_carlo"):
-            raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
-        return self._moment_monte_carlo(p, seed, samples)
+    def _moment_pow(self, p, method, nodes, draws):
+        if method in ("auto", "closed_form") and p % 2 == 0 and p <= MAX_SERIES_ORDER:
+            return _moment(p, self._central_moments(int(p))[-1], "closed_form", 0.0)
+        if method == "monte_carlo" or (method == "auto" and not self._has_density()):
+            return self._moment_monte_carlo(p, draws)
+        if isinstance(self.base, Gaussian) and method in ("auto", "closed_form", "quadrature"):
+            return self._gaussian()._moment_pow(p, method, nodes, draws)
+        if self._has_density() and method in ("auto", "quadrature"):
+            return self._moment_quadrature(p, nodes)
+        raise InvalidParameterError(
+            f"unsupported moment method {method!r} for {self.variant} of order {p}")
+
+    def _central_moments(self, p):
+        # moments of one (X_i - mu)/n, then of the sum of n such terms by
+        # binary powering
+        term = [m * float(self.n) ** -j for j, m in enumerate(self.base._central_moments(p))]
+        out = [1.0] + [0.0] * p
+        count = self.n
+        while count:
+            if count & 1:
+                out = _binomial_convolve(out, term)
+            count >>= 1
+            if count:
+                term = _binomial_convolve(term, term)
+        return out
+
+    # -- Laplace base: the hooks of the truncated quadrature ------------------
+
+    def _scale(self):
+        # the standard deviation of the mean; Laplace(m, b) has variance 2 b^2
+        return self.base.scale * math.sqrt(2.0 / self.n)
+
+    def _pdf(self, x):
+        # |S|/b for the centred sum S is Gamma(k+1) with probability
+        # w_k = C(2n-2-k, n-1) / 2^(2n-2-k), k < n.  The weights follow from
+        # their ratios, which are at most 1, and are normalized; those below
+        # 1e-20 of w_0 are dropped, which bounds the table at about
+        # 14 sqrt(n) terms; the sum is taken in log space.
+        n, b = self.n, self.base.scale
+        j = np.arange(n - 1)
+        log_w = np.concatenate([[0.0], np.cumsum(np.log(2.0 * (n - 1 - j) / (2.0 * n - 2 - j)))])
+        log_w -= math.log(math.fsum(np.exp(log_w)))
+        k = np.flatnonzero(log_w >= log_w[0] + _MIX_LOG_FLOOR)
+        log_w = log_w[k] - np.array([math.lgamma(i + 1.0) for i in k])
+
+        def mixture(xs):
+            # S has density (1/2b) sum_k w_k z^k e^-z / k! at s, and X = mu + S/n
+            z = n * np.abs(xs - self.base.mean_value) / b
+            terms = log_w[:, None] + k[:, None] * np.log(np.maximum(z, 1e-300))
+            top = terms.max(axis=0)
+            return n / (2.0 * b) * np.exp(top - z) * np.exp(terms - top).sum(axis=0)
+
+        return _blockwise(mixture, x, k.size)
+
+    def _log_tail_mass(self, t_offset):
+        # Chernoff: P(|S| > s) <= 2 e^(-l s) (1 - l^2 b^2)^(-n), at its best
+        # l = u / b; s = n t_offset, z = s / b
+        n = self.n
+        z = n * t_offset / self.base.scale
+        u = z / (math.sqrt(n * n + z * z) + n)
+        return math.log(2.0) - u * z - n * math.log1p(-u * u)
+
+    def _log_abs_moment_pow(self, p):
+        # the tail bound needs only an upper bound: |mean of Y_i|^p is at most
+        # the mean of |Y_i|^p for p >= 1 (convexity), and (E|X - mu|)^p
+        # bounds it below that (Lyapunov)
+        return min(p, 1.0) * self.base._log_abs_moment_pow(max(p, 1.0))
+
+    # -- uniform base ---------------------------------------------------------
+
+    def _expect_uniform_mean(self, g, nodes):
+        """Bounded support: the whole integral is quadrature, with no tail."""
+        pdf, dropped = self._uniform_mean_pdf()
+        peak = 0.0
+
+        def integrand(xs):
+            nonlocal peak
+            vals = _apply(g, xs)
+            peak = max(peak, float(np.max(np.abs(vals))))
+            return vals * pdf(xs)
+
+        value, quad_err, evals = _gauss_kronrod(
+            integrand, self.base.lo, self.mean(), self.base.hi, nodes)
+        # the density error is at most ``dropped`` / width everywhere, so the
+        # integral moves by at most dropped times the largest |g| seen
+        return Expectation(value, quad_err + dropped * peak, "quadrature", evals)
+
+    def _uniform_mean_pdf(self):
+        """(density of the mean, bound on the density mass it misses)."""
+        n, lo, hi = self.n, self.base.lo, self.base.hi
+        width = hi - lo
+        if n < IRWIN_HALL_BELOW:
+            coeffs = [(-1) ** k * math.comb(n, k) for k in range(n // 2 + 1)]
+            norm = n / (width * math.factorial(n - 1))
+
+            def irwin_hall(xs):
+                s = n * (xs - lo) / width
+                s = np.minimum(s, n - s)  # symmetric; the lower half cancels less
+                total = np.zeros_like(s)
+                for k, c in enumerate(coeffs):
+                    total += c * np.where(s > k, (s - k) ** (n - 1), 0.0)
+                return norm * total
+
+            return irwin_hall, 0.0
+        h, mu = 0.5 * width, self.mean()
+        # |phi(t/n)| = |sin(h t/n) / (h t/n)| <= n/(h t), so the inversion
+        # integral beyond T is at most (n/h)^n T^(1-n) / ((n-1) pi) at every
+        # x; T puts that, times the width, at INVERSION_TOL
+        cut = math.exp((n * math.log(n / h) - math.log((n - 1) * math.pi)
+                        + math.log(width / INVERSION_TOL)) / (n - 1))
+        # fixed K21 panels, each short enough for the fastest oscillation,
+        # cos(2 h t), to be integrated to rounding
+        panels = math.ceil(cut * h / _PANEL_PHASE)
+        half = 0.5 * cut / panels
+        ts = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GK_NODES).ravel()
+        weights = (np.tile(half * _GK_KRONROD_WEIGHTS, panels)
+                   * np.sinc(h * ts / (n * math.pi)) ** n / math.pi)
+
+        def inverted(xs):
+            # elementwise products and sums only: a matrix product would go
+            # to threaded BLAS and cost far more CPU than it saves
+            return (np.cos(np.multiply.outer(xs - mu, ts)) * weights).sum(axis=1)
+
+        return (lambda xs: _blockwise(inverted, xs, ts.size)), INVERSION_TOL
 
     def to_dict(self):
         return {"variant": "mean_of_n", "base": self.base.to_dict(), "n": self.n}
@@ -672,7 +916,7 @@ def symmetric_outlier(j, m):
 
 
 def mean_of_n(base, n):
-    return MeanOfN(base, int(n))
+    return MeanOfN(base, n)
 
 
 def distribution_from_dict(d):
@@ -692,7 +936,7 @@ def distribution_from_dict(d):
         if v == "empirical":
             return Empirical(tuple(float(s) for s in d["samples"]))
         if v == "mean_of_n":
-            return MeanOfN(distribution_from_dict(d["base"]), int(d["n"]))
+            return MeanOfN(distribution_from_dict(d["base"]), d["n"])
         if v == "two_point":
             return two_point(float(d["mu"]), float(d["sigma"]))
         if v == "three_point":

@@ -2,8 +2,9 @@
 
 The gap E[f(X)] - f(E[X]) is computed here without reference to any bound
 formula, so it can sit on the other side of every check: exact summation for
-discrete support, adaptive quadrature for the named continuous families,
-Monte Carlo for averaged ones.  ``verify`` then compares a bound report
+discrete support, adaptive quadrature for the named continuous families and
+for means of Gaussian, Laplace or uniform draws, Monte Carlo for means of
+other bases.  ``verify`` then compares a bound report
 against a gap estimate, treating the estimate's error bar as the deciding
 margin.
 """
@@ -22,10 +23,13 @@ class GapEstimate:
     """One oracle gap value with its error bar.
 
     ``abs_error`` is a 95% confidence radius for Monte Carlo; for quadrature
-    it is the rule's error estimate plus a rigorous bound on the truncated
-    tail, so it is an estimate, not a bound.  Exact sums report 0.
+    it is the rule's error estimate plus a rigorous bound on what truncation
+    drops (the tail, or for a mean of uniform draws the inversion integral
+    beyond its cut), so it is an estimate, not a bound.  Exact sums report 0.
     ``count`` is the number of integrand evaluations of the final quadrature
-    (at most ``nodes``), of atoms summed, or of Monte Carlo draws.
+    (at most ``nodes``; for a mean of N draws, evaluations of f times the
+    density of the mean), of atoms summed, or of Monte Carlo draws (the
+    ``samples`` means of N base draws each).
     """
 
     value: float

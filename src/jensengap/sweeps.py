@@ -10,7 +10,7 @@ rows suitable for CSV and a fitted log-log slope.
 import numpy as np
 
 from .bounds import upper_bound
-from .distributions import Distribution, mean_of_n, two_point
+from .distributions import Distribution, check_count, mean_of_n, two_point
 from .envelope import sup_ratio_upper
 from .errors import InvalidParameterError
 from .functions import FunctionSpec
@@ -83,15 +83,15 @@ def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
 
     |J| tracks the variance of the sample mean, so the fitted slope of
     log|gap| against log N sits near -1 for smooth f.  A degenerate base
-    gives zero gaps everywhere and slope 0.
+    gives zero gaps everywhere and slope 0.  ``samples`` sizes the Monte
+    Carlo gaps and moments of bases that have no exact route (discrete,
+    empirical and nested means); the exact routes ignore it.
     """
-    ns = [int(v) for v in ns]
+    ns = [check_count(v, "N grid entry") for v in ns]
     if len(ns) < MIN_FIT_POINTS:
         raise InvalidParameterError(
             f"sweep needs at least {MIN_FIT_POINTS} grid points, got {len(ns)}"
         )
-    if any(v < 1 for v in ns):
-        raise InvalidParameterError("N grid entries must be >= 1")
     M = sup_ratio_upper(f, alpha, n_growth)
     rows = []
     for count in sorted(ns):

@@ -240,9 +240,30 @@ def test_uncertainty_zero_on_exact_support():
 
 
 def test_uncertainty_positive_on_estimated_moments():
-    f = make_function("cos", 0.0)
-    from jensengap.distributions import mean_of_n, Uniform
-    M = sup_ratio_upper(f, 2.0, 2.0)
-    dist = mean_of_n(Uniform(-1.0, 1.0), 4)
-    report = upper_bound(M, dist, 2.0, 2.0, seed=1)
+    f = flat_sine()
+    from jensengap.distributions import Empirical, mean_of_n
+    # odd orders on a mean of an empirical base are still Monte Carlo
+    M = sup_ratio_upper(f, 3.0, 3.0)
+    dist = mean_of_n(Empirical((-1.0, -0.5, 0.25, 1.25)), 4)
+    report = upper_bound(M, dist, 3.0, 3.0, seed=1)
     assert report.uncertainty > 0
+
+
+def test_monte_carlo_orders_share_one_batch(monkeypatch):
+    from jensengap.distributions import Empirical, MeanOfN, mean_of_n
+    purposes = []
+    original = MeanOfN.sample
+
+    def counted(self, count, seed=None, *, purpose="sample"):
+        purposes.append(purpose)
+        return original(self, count, seed, purpose=purpose)
+
+    monkeypatch.setattr(MeanOfN, "sample", counted)
+    dist = mean_of_n(Empirical((-1.0, -0.5, 0.25, 1.25)), 4)
+    report = general_bounds(flat_sine(), dist, [(3.0, 1.0), (5.0, 0.5)], "upper",
+                            seed=2, samples=4000)
+    assert purposes == ["moments"]
+    # each order alone draws the same batch, so the values are unchanged
+    for mv in report.moments_used:
+        alone = dist.abs_central_moment(mv.p, seed=2, samples=4000)
+        assert mv.method == "monte_carlo" and mv == alone

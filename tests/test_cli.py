@@ -3,6 +3,7 @@ import json
 import pytest
 
 import jensengap.cli as cli
+from jensengap.errors import InvalidParameterError
 from jensengap.oracle import VerifyResult
 
 COS = '{"kind": "cos", "mu": 0}'
@@ -202,6 +203,16 @@ def test_sweep_small_grid_rejected(capsys):
     code, _ = run(["sweep", "--mode", "two_point", "--grid", "0.4,0.2,0.1"],
                   capsys)
     assert code == 1
+
+
+def test_sweep_non_integral_grid_rejected(capsys):
+    for grid in ("4.5,16,64,256", "4,16,x,256"):
+        with pytest.raises(InvalidParameterError):
+            cli.cmd_sweep(cli.build_parser().parse_args(
+                ["sweep", "--mode", "mean_of_n", "--grid", grid]))
+        code, _ = run(["sweep", "--mode", "mean_of_n", "--grid", grid], capsys)
+        assert code == 1
+        assert "int()" not in capsys.readouterr().err
 
 
 def test_sweep_mean_of_n_slope(capsys):

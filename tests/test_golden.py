@@ -24,6 +24,8 @@ WIDE_LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 8}'
 ABS_POWER_15 = '{"kind": "abs_power", "mu": 0, "alpha": 1.5}'
 AVG = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
        '"lo": -1, "hi": 1}, "n": 4}')
+AVG_256 = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
+           '"lo": -1, "hi": 1}, "n": 256}')
 
 SEED = ["--seed", "11"]
 
@@ -50,8 +52,13 @@ CASES = {
                             "--terms", "[[2, 1], [4, 1]]",
                             "--function", POW4_AT_1, "--dist", GAUSS_AT_1,
                             *SEED],
+    # the exact routes ignore --samples: the gap is the Irwin-Hall quadrature
     "oracle_mean_of_n": ["oracle", "--function", COS, "--dist", AVG,
                          "--samples", "4000", *SEED],
+    # the bound sits 0.03% above |J|: a pass only with exact moments and gap
+    "bound_upper_mean_of_n_256": ["bound", "--kind", "upper", "--alpha", "2",
+                                  "--n", "2", "--function", COS,
+                                  "--dist", AVG_256, *SEED],
     "oracle_cos_laplace": ["oracle", "--function", COS, "--dist", LAPLACE,
                            *SEED],
     "oracle_pow4_gaussian": ["oracle", "--function", POW4_AT_1,

@@ -55,6 +55,13 @@ def test_mean_of_n_sweep_slope_near_inverse():
     assert out["gap_slope"] == pytest.approx(-1.0, abs=0.1)
 
 
+def test_mean_of_n_sweep_rejects_non_integral_n():
+    f = make_function("cos", 0.0)
+    for bad in (4.5, 0, True):
+        with pytest.raises(InvalidParameterError):
+            mean_of_n_sweep(f, Uniform(-1.0, 1.0), [bad, 16, 64, 256])
+
+
 def test_mean_of_n_sweep_degenerate_base():
     f = make_function("cos", 0.0)
     out = mean_of_n_sweep(f, Discrete(((0.0, 1.0),)), [4, 16, 64, 256],
