@@ -338,6 +338,19 @@ def test_narrow_peak_is_found():
     assert verify(report, jensen_gap(f, dist)).verdict == "pass"
 
 
+@pytest.mark.xfail(strict=True, reason="a climb at a logarithmic rate stays "
+                   "under every divergence window; the probe cap at 1e8 "
+                   "ends it; needs a certified envelope")
+def test_logarithmic_climb_is_unbounded():
+    # |f| / (x^2 + x^2) = log(1 + |x|) / 2 has no finite sup; the solver
+    # returns log(1 + 1e8) / 2 = 9.21, and on two_point(0, 1e9) the gap
+    # 2.07e19 beats that bound of 1.84e19
+    f = custom_function(lambda x: x ** 2 * np.log1p(np.abs(x)), 0.0,
+                        slope_at_mu=0.0, label="x^2 log(1+|x|)")
+    with pytest.raises(UnboundedEnvelopeError):
+        sup_ratio_upper(f, 2.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Error taxonomy
 
@@ -355,6 +368,36 @@ def test_unbounded_when_n_too_small():
 def test_condition_violation_on_wrong_sign():
     with pytest.raises(ConditionViolationError):
         inf_ratio_lower(make_function("cos", 0.0), 2.0, 2.0, sign=GAP_ABOVE)
+
+
+def _sqrt_hyperbola():
+    # sqrt(1 + x^2) - 1: x^2 / 2 near the mean, |x| far out
+    return custom_function(lambda x: np.sqrt(1.0 + np.square(x)) - 1.0, 0.0,
+                           slope_at_mu=0.0, label="sqrt(1+x^2)-1")
+
+
+def test_square_root_rate_climb_to_infinity_is_unbounded():
+    # |x|^2.5 / x^2 climbs as |x|^0.5: too slow for a three-decade window
+    f = make_function("abs_power", 0.0, alpha=2.5)
+    with pytest.raises(UnboundedEnvelopeError):
+        sup_ratio_upper(f, 2.0, 2.0)
+    with pytest.raises(UnboundedEnvelopeError):
+        sup_ratio_general(f, [(2.0, 1.0)], "sup")
+
+
+def test_decay_at_mu_violates_lower_declaration():
+    # x^4 (x^-2 + x^-2) falls to zero at the mean
+    with pytest.raises(ConditionViolationError):
+        inf_ratio_lower(make_function("pow4", 0.0), 2.0, 2.0)
+
+
+def test_square_root_rate_decay_at_infinity_violates_lower_declaration():
+    # |x| (|x|^-1.5 + |x|^-2) falls to zero as |x|^-0.5
+    f = _sqrt_hyperbola()
+    with pytest.raises(ConditionViolationError):
+        inf_ratio_lower(f, 2.0, 1.5)
+    with pytest.raises(ConditionViolationError):
+        sup_ratio_general(f, [(1.5, 1.0), (2.0, 1.0)], "inf")
 
 
 def test_degenerate_constant_function():

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output against stored goldens.
 
 Each case runs one CLI call with a fixed seed and compares stdout with
-``tests/golden/<name>.json``.  A change that moves any printed digit, key or
+``tests/golden/<name>.json``; a few cases are also compared in their CSV
+(``<name>.csv``) and table (``<name>.txt``) renderings.  A change that moves any printed digit, key or
 diagnostic fails here; the goldens are only regenerated on purpose, for a
 change whose output is meant to differ.
 """
@@ -26,6 +27,8 @@ AVG = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
        '"lo": -1, "hi": 1}, "n": 4}')
 AVG_256 = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
            '"lo": -1, "hi": 1}, "n": 256}')
+
+NEG_SQUARE = '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, -1]}'
 
 SEED = ["--seed", "11"]
 
@@ -73,7 +76,21 @@ CASES = {
                                        "--dist", WIDE_LAPLACE,
                                        "--nodes", "210", *SEED],
     "examples": ["examples"],
+    # --sign auto: gap_above is violated, so both fall back to gap_below
+    "bound_lower_gap_below": ["bound", "--kind", "lower", "--alpha", "2",
+                              "--beta", "2", "--function", NEG_SQUARE,
+                              "--dist", LAPLACE, *SEED],
+    "bound_general_lower_gap_below": ["bound", "--kind", "general_lower",
+                                      "--terms", "[[2, 1]]",
+                                      "--function", NEG_SQUARE,
+                                      "--dist", LAPLACE, *SEED],
+    "sweep_mean_of_n": ["sweep", "--mode", "mean_of_n", "--function", COS,
+                        "--dist", LAPLACE, *SEED],
 }
+
+RENDERED = {"csv": "csv", "table": "txt"}
+RENDERED_CASES = ("bound_upper", "bound_holder", "bound_variance",
+                  "sweep_mean_of_n")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -82,3 +99,12 @@ def test_cli_json_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERED))
+@pytest.mark.parametrize("name", RENDERED_CASES)
+def test_cli_rendering_matches_golden(capsys, name, fmt):
+    code = cli.main([*CASES[name], "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.{RENDERED[fmt]}").read_text()
