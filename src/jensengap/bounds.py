@@ -1,11 +1,15 @@
 """Bound formulas: envelope constants combined with absolute central moments.
 
-Each operation assembles one inequality into a BoundReport.  The report
-carries everything needed to audit or serialize the claim: the envelope
-constant with its attainment point, every moment value used with its
-provenance, the parameter set, and an uncertainty that folds the moment
-error estimates through the formula (the formula itself is exact; only
-sampled or integrated moments make a bound value uncertain).
+Each operation assembles one inequality into a BoundReport.  Every kind but
+the variance interval is a spec over one evaluator, M (sum c m_r)^power /
+(sum c m_r)^root: the upper bound and the Cauchy-Schwarz and Hoelder lower
+bounds are the two-term and one-term cases of the general power-sum bounds,
+reported with their own parameters.  The report carries everything needed
+to audit or serialize the claim: the envelope constant with its attainment
+point, every moment value used with its provenance, the parameter set, and
+an uncertainty that folds the moment error estimates through the formula
+(the formula itself is exact; only sampled or integrated moments make a
+bound value uncertain).
 
 Moment-power notation: for order r the quantity sigma_r^r is written m_r
 below, with m_0 = 1 by the |t|^0 = 1 convention.
@@ -13,14 +17,13 @@ below, with m_0 = 1 by the |t|^0 = 1 convention.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .distributions import (
     DEFAULT_MOMENT_SAMPLES,
     DEFAULT_NODES,
 )
 from .envelope import (
-    DEFAULT_PROBES_PER_SIDE,
     curvature_envelope,
     check_terms,
     sup_ratio_general,
@@ -132,45 +135,25 @@ def _evaluate_with_uncertainty(formula, moments):
     return float(value), float(unc)
 
 
-def upper_bound(M, dist, alpha, n, *, seed=None,
-                samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
-    """|J| <= M (sigma_alpha^alpha + sigma_n^n), reported in both forms.
+def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw):
+    """The bound M (sum c m_r)^power / (sum c m_r)^root over two term lists.
 
-    ``value`` is the tight sum form; ``loose_value`` is the factored form
-    M (1 + sigma_n^(n-alpha)) sigma_n^alpha, which never undercuts it.
+    ``num`` and ``den`` are (coefficient, order) pairs.  A denominator order
+    of None is the literal m_0 = 1, not requested as a moment; every other
+    order is requested in sequence, numerator first, which is the order
+    ``moments_used`` lists them in.  Every bound kind except the variance
+    interval is one such spec.
     """
-    alpha = float(alpha)
-    n = float(n)
-    _require_envelope(M, "upper_sup", alpha=alpha, n=n)
     mean = _check_mean(M.mu, dist)
-    moments = dist.abs_central_moments([alpha, n], seed=seed, samples=samples,
-                                       nodes=nodes)
+    orders = [r for _, r in num + den if r is not None]
+    moments = dist.abs_central_moments(orders, **moment_kw)
 
-    def tight(m):
-        return M.value * (m[alpha] + m[n])
+    def formula(m):
+        top = sum(c * m[r] for c, r in num)
+        bottom = sum(c * (1.0 if r is None else m[r]) for c, r in den)
+        return M.value * top ** power / bottom ** root
 
-    def loose(m):
-        m_n = m[n]
-        return M.value * (1.0 + m_n ** ((n - alpha) / n)) * m_n ** (alpha / n)
-
-    value, unc = _evaluate_with_uncertainty(tight, moments)
-    loose_value, _ = _evaluate_with_uncertainty(loose, moments)
-    return BoundReport(
-        kind="upper",
-        value=value,
-        mu=mean,
-        envelope=M,
-        moments_used=tuple(moments.values()),
-        params=(("alpha", alpha), ("n", n)),
-        valid=M.validated,
-        uncertainty=unc,
-        loose_value=loose_value,
-        f_label=M.f_label,
-        dist_label=dist.variant,
-    )
-
-
-def _lower_report(kind, M, dist, mean, moments, params, value, unc):
+    value, unc = _evaluate_with_uncertainty(formula, moments)
     return BoundReport(
         kind=kind,
         value=value,
@@ -185,27 +168,45 @@ def _lower_report(kind, M, dist, mean, moments, params, value, unc):
     )
 
 
+def upper_bound(M, dist, alpha, n, *, seed=None,
+                samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
+    """|J| <= M (sigma_alpha^alpha + sigma_n^n), reported in both forms.
+
+    ``value`` is the tight sum form; ``loose_value`` is the factored form
+    M (1 + sigma_n^(n-alpha)) sigma_n^alpha, which never undercuts it.
+    """
+    alpha = float(alpha)
+    n = float(n)
+    _require_envelope(M, "upper_sup", alpha=alpha, n=n)
+    report = _power_sum_bound(
+        "upper", M, dist, (("alpha", alpha), ("n", n)),
+        [(1, alpha), (1, n)], 1.0, [(1.0, None)], 1.0,
+        dict(seed=seed, samples=samples, nodes=nodes),
+    )
+    m_n = next(mv.sigma_p_pow for mv in report.moments_used if mv.p == n)
+    loose = M.value * (1.0 + m_n ** ((n - alpha) / n)) * m_n ** (alpha / n)
+    return replace(report, loose_value=float(loose))
+
+
+def _lower_sign(M, alpha, beta):
+    """The gap sign of a lower envelope solved for (alpha, beta)."""
+    _require_envelope(M, "lower_inf", alpha=alpha, beta=beta)
+    return dict(M.params).get("sign", GAP_ABOVE)
+
+
 def lower_bound_cauchy_schwarz(M, dist, alpha, beta, *, seed=None,
                                samples=DEFAULT_MOMENT_SAMPLES,
                                nodes=DEFAULT_NODES):
     """Signed gap >= M sigma_{alpha/2}^alpha / (1 + sigma_{alpha-beta}^{alpha-beta})."""
     alpha = float(alpha)
     beta = float(beta)
-    _require_envelope(M, "lower_inf", alpha=alpha, beta=beta)
-    sign = dict(M.params).get("sign", GAP_ABOVE)
-    mean = _check_mean(M.mu, dist)
-    half = alpha / 2.0
-    diff = alpha - beta
-    moments = dist.abs_central_moments([half, diff], seed=seed, samples=samples,
-                                       nodes=nodes)
-
-    def formula(m):
-        return M.value * m[half] ** 2 / (1.0 + m[diff])
-
-    value, unc = _evaluate_with_uncertainty(formula, moments)
-    params = (("alpha", alpha), ("beta", beta), ("sign", sign))
-    return _lower_report("lower_cauchy_schwarz", M, dist, mean, moments,
-                         params, value, unc)
+    sign = _lower_sign(M, alpha, beta)
+    return _power_sum_bound(
+        "lower_cauchy_schwarz", M, dist,
+        (("alpha", alpha), ("beta", beta), ("sign", sign)),
+        [(1, alpha / 2.0)], 2.0, [(1.0, None), (1, alpha - beta)], 1.0,
+        dict(seed=seed, samples=samples, nodes=nodes),
+    )
 
 
 def valid_holder_q(k):
@@ -214,14 +215,23 @@ def valid_holder_q(k):
     return [q for q in range(2, k + 2) if (k + 1) % q == 0]
 
 
+def _is_whole(x):
+    return math.isfinite(x) and int(x) == x
+
+
 def _check_k(k):
-    if int(k) != k or k < 1:
+    if not _is_whole(k) or k < 1:
         raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
     if k > MAX_HOLDER_K:
         raise InvalidParameterError(
             f"k = {k} exceeds the supported maximum {MAX_HOLDER_K}"
         )
     return int(k)
+
+
+def _binomial_terms(k, first, step):
+    """(C(k, l), first + l step) for l = 0..k: the expanded (1 + t)^k."""
+    return [(math.comb(k, l), first + l * step) for l in range(k + 1)]
 
 
 def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
@@ -235,33 +245,22 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
     alpha = float(alpha)
     beta = float(beta)
     k = _check_k(k)
-    if int(q) != q or q < 2 or (k + 1) % int(q) != 0:
+    if not _is_whole(q) or q < 2 or (k + 1) % int(q) != 0:
         raise InvalidParameterError(
             f"q must be a divisor of k+1 = {k + 1} with q >= 2, got {q!r}"
         )
     q = int(q)
-    _require_envelope(M, "lower_inf", alpha=alpha, beta=beta)
-    sign = dict(M.params).get("sign", GAP_ABOVE)
-    mean = _check_mean(M.mu, dist)
+    sign = _lower_sign(M, alpha, beta)
     p = q / (q - 1.0)
-    top = (k + 1) // q - 1
     diff = alpha - beta
-    num_orders = [alpha / p + l * diff for l in range(top + 1)]
-    den_orders = [l * diff for l in range(k + 1)]
-    moments = dist.abs_central_moments(num_orders + den_orders, seed=seed,
-                                       samples=samples, nodes=nodes)
-
-    def formula(m):
-        num = sum(math.comb(top, l) * m[float(alpha / p + l * diff)]
-                  for l in range(top + 1))
-        den = sum(math.comb(k, l) * m[float(l * diff)] for l in range(k + 1))
-        return M.value * num ** p / den ** (p / q)
-
-    value, unc = _evaluate_with_uncertainty(formula, moments)
-    params = (("alpha", alpha), ("beta", beta), ("k", k), ("q", q),
-              ("p", p), ("sign", sign))
-    return _lower_report("lower_holder", M, dist, mean, moments, params,
-                         value, unc)
+    return _power_sum_bound(
+        "lower_holder", M, dist,
+        (("alpha", alpha), ("beta", beta), ("k", k), ("q", q), ("p", p),
+         ("sign", sign)),
+        _binomial_terms((k + 1) // q - 1, alpha / p, diff), p,
+        _binomial_terms(k, 0.0, diff), p / q,
+        dict(seed=seed, samples=samples, nodes=nodes),
+    )
 
 
 def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
@@ -271,36 +270,25 @@ def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
     alpha = float(alpha)
     beta = float(beta)
     k = _check_k(k)
-    _require_envelope(M, "lower_inf", alpha=alpha, beta=beta)
-    sign = dict(M.params).get("sign", GAP_ABOVE)
-    mean = _check_mean(M.mu, dist)
-    r = alpha * k / (k + 1.0)
-    diff = alpha - beta
-    den_orders = [l * diff for l in range(k + 1)]
-    moments = dist.abs_central_moments([r] + den_orders, seed=seed,
-                                       samples=samples, nodes=nodes)
-
-    def formula(m):
-        num = m[r] ** ((k + 1.0) / k)
-        den = sum(math.comb(k, l) * m[float(l * diff)] for l in range(k + 1))
-        return M.value * num / den ** (1.0 / k)
-
-    value, unc = _evaluate_with_uncertainty(formula, moments)
-    params = (("alpha", alpha), ("beta", beta), ("k", k), ("q", k + 1),
-              ("p", 1.0 + 1.0 / k), ("sign", sign))
-    return _lower_report("lower_holder_single", M, dist, mean, moments,
-                         params, value, unc)
+    sign = _lower_sign(M, alpha, beta)
+    return _power_sum_bound(
+        "lower_holder_single", M, dist,
+        (("alpha", alpha), ("beta", beta), ("k", k), ("q", k + 1),
+         ("p", 1.0 + 1.0 / k), ("sign", sign)),
+        [(1, alpha * k / (k + 1.0))], (k + 1.0) / k,
+        _binomial_terms(k, 0.0, alpha - beta), 1.0 / k,
+        dict(seed=seed, samples=samples, nodes=nodes),
+    )
 
 
 def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
-                      nodes=DEFAULT_NODES,
-                      probes_per_side=DEFAULT_PROBES_PER_SIDE):
+                      nodes=DEFAULT_NODES):
     """Curvature interval: inf h * sigma_2^2 <= J <= sup h * sigma_2^2.
 
     An unbounded curvature side propagates to an infinite endpoint, which is
     a valid if trivial one-sided statement, not an error.
     """
-    h_lo, h_hi = curvature_envelope(f, probes_per_side=probes_per_side)
+    h_lo, h_hi = curvature_envelope(f)
     mean = _check_mean(f.mu, dist)
     moments = dist.abs_central_moments([2.0], seed=seed, samples=samples,
                                        nodes=nodes)
@@ -364,7 +352,7 @@ def _tuple_denominator_orders(terms, alpha, k):
 
 
 def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
-                   validate=True, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
+                   seed=None, samples=DEFAULT_MOMENT_SAMPLES,
                    nodes=DEFAULT_NODES):
     """Bounds against a user-chosen power sum t(x) = sum a_eta |x-mu|^eta.
 
@@ -374,71 +362,29 @@ def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
     k-fold-product denominator with numerator order alpha/(1+1/k).
     """
     terms = check_terms(terms)
+    moment_kw = dict(seed=seed, samples=samples, nodes=nodes)
     if mode == "upper":
         if k is not None:
             raise InvalidParameterError("k applies to the lower mode only")
-        M = sup_ratio_general(f, terms, "sup", validate=validate)
-        mean = _check_mean(f.mu, dist)
-        orders = [eta for eta, _ in terms]
-        moments = dist.abs_central_moments(orders, seed=seed, samples=samples,
-                                           nodes=nodes)
-
-        def formula(m):
-            return M.value * sum(a * m[eta] for eta, a in terms)
-
-        value, unc = _evaluate_with_uncertainty(formula, moments)
-        return BoundReport(
-            kind="general_upper",
-            value=value,
-            mu=mean,
-            envelope=M,
-            moments_used=tuple(moments.values()),
-            params=(("terms", terms), ("mode", mode)),
-            valid=M.validated,
-            uncertainty=unc,
-            f_label=f.label,
-            dist_label=dist.variant,
+        M = sup_ratio_general(f, terms, "sup")
+        return _power_sum_bound(
+            "general_upper", M, dist, (("terms", terms), ("mode", mode)),
+            [(a, eta) for eta, a in terms], 1.0, [(1.0, None)], 1.0, moment_kw,
         )
-
     if mode != "lower":
         raise InvalidParameterError(f"mode must be 'upper' or 'lower', got {mode!r}")
 
-    M = sup_ratio_general(f, terms, "inf", sign, validate=validate)
-    mean = _check_mean(f.mu, dist)
+    params = (("terms", terms), ("mode", mode), ("sign", sign))
+    if k is not None:
+        k = _check_k(k)
+        params += (("k", k),)
+    M = sup_ratio_general(f, terms, "inf", sign)
     alpha = max(eta for eta, _ in terms)
     if k is None:
-        half = alpha / 2.0
-        den_terms = [(a, float(alpha - eta)) for eta, a in terms]
-        num_order = half
-        num_power = 2.0
+        num, power, root = [(1, alpha / 2.0)], 2.0, 1.0
+        den = [(a, float(alpha - eta)) for eta, a in terms]
     else:
-        k = _check_k(k)
-        num_order = alpha * k / (k + 1.0)
-        num_power = (k + 1.0) / k
-        den_terms = _tuple_denominator_orders(terms, alpha, k)
-    root = 1.0 if k is None else 1.0 / k
-    orders = [num_order] + [order for _, order in den_terms]
-    moments = dist.abs_central_moments(orders, seed=seed, samples=samples,
-                                       nodes=nodes)
-
-    def formula(m):
-        num = m[float(num_order)] ** num_power
-        den = sum(coeff * m[order] for coeff, order in den_terms)
-        return M.value * num / den ** root
-
-    value, unc = _evaluate_with_uncertainty(formula, moments)
-    params = [("terms", terms), ("mode", mode), ("sign", sign)]
-    if k is not None:
-        params.append(("k", k))
-    return BoundReport(
-        kind="general_lower",
-        value=value,
-        mu=mean,
-        envelope=M,
-        moments_used=tuple(moments.values()),
-        params=tuple(params),
-        valid=M.validated,
-        uncertainty=unc,
-        f_label=f.label,
-        dist_label=dist.variant,
-    )
+        num, power, root = [(1, alpha * k / (k + 1.0))], (k + 1.0) / k, 1.0 / k
+        den = _tuple_denominator_orders(terms, alpha, k)
+    return _power_sum_bound("general_lower", M, dist, params, num, power, den,
+                            root, moment_kw)

@@ -168,15 +168,24 @@ def _shifted(f, shift):
     return linear_shift(f, slope)
 
 
-def _lower_envelope(g, alpha, beta, sign):
-    """Envelope for the signed lower bounds, trying both signs on 'auto'."""
+def _signed(solve, sign):
+    """solve(sign); on 'auto', solve(gap_above), or solve(gap_below) when the
+    envelope finds gap_above violated."""
     if sign != "auto":
-        return inf_ratio_lower(g, alpha, beta, sign=sign), sign
+        return solve(sign)
     try:
-        return inf_ratio_lower(g, alpha, beta, sign=GAP_ABOVE), GAP_ABOVE
+        return solve(GAP_ABOVE)
     except ConditionViolationError:
-        pass
-    return inf_ratio_lower(g, alpha, beta, sign=GAP_BELOW), GAP_BELOW
+        return solve(GAP_BELOW)
+
+
+def _moment_kw(opts):
+    """Seed, sample count and quadrature budget for the moment and gap calls."""
+    kw = {"seed": opts["seed"]}
+    for key in ("samples", "nodes"):
+        if opts[key] is not None:
+            kw[key] = int(opts[key])
+    return kw
 
 
 def _parse_terms(text):
@@ -221,28 +230,24 @@ def cmd_bound(args):
         )
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
-    kw = {"seed": opts["seed"]}
-    if opts["samples"] is not None:
-        kw["samples"] = int(opts["samples"])
-    if opts["nodes"] is not None:
-        kw["nodes"] = int(opts["nodes"])
+    kw = _moment_kw(opts)
 
     kind = opts["kind"]
-    sign = opts["sign"]
+    alpha, beta = opts["alpha"], opts["beta"]
     if kind == "variance":
         report = bounds.variance_interval(f, dist, **kw)
     else:
         g = _shifted(f, opts["shift"])
+        lower_envelope = lambda: _signed(
+            lambda s: inf_ratio_lower(g, alpha, beta, sign=s), opts["sign"])
         if kind == "upper":
             _need(opts, "alpha", "n")
-            M = sup_ratio_upper(g, opts["alpha"], opts["n"])
-            report = bounds.upper_bound(M, dist, opts["alpha"], opts["n"], **kw)
+            M = sup_ratio_upper(g, alpha, opts["n"])
+            report = bounds.upper_bound(M, dist, alpha, opts["n"], **kw)
         elif kind == "lower":
             _need(opts, "alpha", "beta")
-            M, sign = _lower_envelope(g, opts["alpha"], opts["beta"], sign)
-            report = bounds.lower_bound_cauchy_schwarz(
-                M, dist, opts["alpha"], opts["beta"], **kw
-            )
+            M = lower_envelope()
+            report = bounds.lower_bound_cauchy_schwarz(M, dist, alpha, beta, **kw)
         elif kind == "holder":
             _need(opts, "alpha", "beta", "k")
             k = int(opts["k"])
@@ -251,35 +256,27 @@ def cmd_bound(args):
                     f"--kind holder needs --q; valid choices for k={k}: "
                     f"{bounds.valid_holder_q(k)}"
                 )
-            M, sign = _lower_envelope(g, opts["alpha"], opts["beta"], sign)
+            M = lower_envelope()
             report = bounds.lower_bound_holder(
-                M, dist, opts["alpha"], opts["beta"], k, int(opts["q"]), **kw
+                M, dist, alpha, beta, k, int(opts["q"]), **kw
             )
         elif kind == "holder_single":
             _need(opts, "alpha", "beta", "k")
-            M, sign = _lower_envelope(g, opts["alpha"], opts["beta"], sign)
+            M = lower_envelope()
             report = bounds.lower_bound_holder_single(
-                M, dist, opts["alpha"], opts["beta"], int(opts["k"]), **kw
+                M, dist, alpha, beta, int(opts["k"]), **kw
             )
         else:
             _need(opts, "terms")
             terms = _parse_terms(opts["terms"])
-            mode = "upper" if kind == "general_upper" else "lower"
             k = None if opts["k"] is None else int(opts["k"])
-            if mode == "upper":
-                report = bounds.general_bounds(g, dist, terms, mode, **kw)
-            elif sign == "auto":
-                try:
-                    report = bounds.general_bounds(
-                        g, dist, terms, mode, k=k, sign=GAP_ABOVE, **kw
-                    )
-                except ConditionViolationError:
-                    report = bounds.general_bounds(
-                        g, dist, terms, mode, k=k, sign=GAP_BELOW, **kw
-                    )
+            if kind == "general_upper":
+                report = bounds.general_bounds(g, dist, terms, "upper", **kw)
             else:
-                report = bounds.general_bounds(
-                    g, dist, terms, mode, k=k, sign=sign, **kw
+                report = _signed(
+                    lambda s: bounds.general_bounds(
+                        g, dist, terms, "lower", k=k, sign=s, **kw),
+                    opts["sign"],
                 )
 
     gap = jensen_gap(f, dist, **kw)
@@ -315,12 +312,7 @@ def cmd_oracle(args):
     opts = merged_options(args, ORACLE_DEFAULTS)
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
-    kw = {"seed": opts["seed"]}
-    if opts["samples"] is not None:
-        kw["samples"] = int(opts["samples"])
-    if opts["nodes"] is not None:
-        kw["nodes"] = int(opts["nodes"])
-    gap = jensen_gap(f, dist, **kw)
+    gap = jensen_gap(f, dist, **_moment_kw(opts))
     row = {
         "gap": gap.value,
         "abs_error": gap.abs_error,

@@ -14,7 +14,14 @@ of every extremum are then refined in lockstep, as array operations, with
 each bracket taking exactly the steps a scalar golden-section search would
 take.  Probes whose ratio is indistinguishable from floating-point
 cancellation noise are discarded before any of that happens; see
-``functions.noise_floor``.
+``noise_floor``.
+
+The same scan screens the declared growth of the upper and lower envelopes,
+before any refinement: a ratio that climbs without bound toward the mean or
+an infinite end rejects an upper declaration (``UnboundedEnvelopeError``),
+and a probe of the wrong sign or a ratio that decays to zero rejects a lower
+one (``ConditionViolationError``).  The screen is a heuristic on the probes,
+not a proof.
 """
 
 import math
@@ -32,17 +39,17 @@ from .functions import (
     EPS,
     GAP_ABOVE,
     GAP_BELOW,
-    MAX_OFFSET,
-    MIN_OFFSET,
     GrowthDeclaration,
     eval_many,
     evaluate,
-    noise_floor,
     select_shift_slope,
-    validate_growth,
 )
 from .serialize import encode_float
 
+# Probe layout: DEFAULT_PROBES_PER_SIDE log-spaced offsets |x - mu| per side,
+# from MIN_OFFSET up to MAX_OFFSET or the end of the domain.
+MIN_OFFSET = 1e-8
+MAX_OFFSET = 1e8
 DEFAULT_PROBES_PER_SIDE = 400
 MAX_REFINE_ITERATIONS = 60
 MAX_BRACKETS = 12
@@ -51,9 +58,20 @@ MAX_BRACKETS = 12
 # leaves worst-case probe noise near 1e-8, comfortably under the accuracy
 # target of the solver.
 TRUST_FACTOR = 1e6
+# The growth screen judges every probe whose ratio clears the noise floor by
+# this lower factor, since one probe of the wrong sign voids a lower
+# declaration and a climb or decay shows from as near the mean as the noise
+# allows.  It reads them one per SCREEN_STEP decades, where an oscillating
+# ratio shows its trend rather than its wiggles.
+SCREEN_TRUST_FACTOR = 100.0
+SCREEN_STEP = 0.5
 TIE_TOLERANCE = 1e-6
 DIVERGENCE_FACTOR = 50.0
-DIVERGENCE_DECADES = 3.0
+# (decades, least climb over the quarter of the window nearest the end).  A
+# fast climb shows within three decades; a slow one, such as |x|^0.5, within
+# six, but only while the probes nearest the end still rise: a profile that
+# levels off at the end has converged however far it fell further out.
+DIVERGENCE_WINDOWS = ((3.0, 0.0), (6.0, 2.0))
 DEGENERACY_TOLERANCE = 1e-12
 
 INTERIOR = "interior"
@@ -61,6 +79,16 @@ AT_MU = "at_mu"
 AT_INFINITY = "at_infinity"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def noise_floor(fx, fmu):
+    """Absolute rounding-noise scale for the difference f(x) - f(mu).
+
+    Deliberately conservative: evaluation of f near mu loses the leading
+    digits of the difference to cancellation, and a black-box rule gives us
+    no better handle than the magnitudes involved.
+    """
+    return 16.0 * EPS * (np.abs(fx) + abs(fmu) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -126,7 +154,21 @@ class _Candidate:
     width: float = 0.0
 
 
-def _sides(f, max_offset):
+# The growth screen's verdicts, by declared role: the error raised and the
+# reason given for each end of a side the ratio escapes toward.
+_ESCAPES = {
+    "upper": (UnboundedEnvelopeError, {
+        AT_MU: "ratio climbs unboundedly toward mu; alpha is too large",
+        AT_INFINITY: "ratio climbs unboundedly toward infinity; n is too small",
+    }),
+    "lower": (ConditionViolationError, {
+        AT_MU: "ratio decays toward zero at mu; alpha is too small",
+        AT_INFINITY: "ratio decays toward zero at infinity; beta is too large",
+    }),
+}
+
+
+def _sides(f, max_offset, screen):
     out = []
     for sign in (+1.0, -1.0):
         reach = (f.domain.hi - f.mu) if sign > 0 else (f.mu - f.domain.lo)
@@ -134,33 +176,42 @@ def _sides(f, max_offset):
         if top > MIN_OFFSET:
             out.append((sign, top, math.isinf(reach)))
     if not out:
-        raise InvalidParameterError(
-            "domain leaves no room on either side of the mean"
-        )
+        error = _ESCAPES[screen][0] if screen else InvalidParameterError
+        raise error("domain leaves no room on either side of the mean")
     return out
 
 
-def _diverges(offsets, w, at_start):
-    """True when w climbs monotonically (one wobble allowed) toward one end.
+def _diverges(offsets, w, at_start, step=0.0):
+    """True when w climbs monotonically (a wobble per six probes allowed)
+    toward one end.
 
     ``at_start`` selects the near-mean end of the arrays; otherwise the far
-    end.  The climb must span DIVERGENCE_DECADES decades of offset and gain
-    at least DIVERGENCE_FACTOR over the window.
+    end.  The climb must gain at least DIVERGENCE_FACTOR over one of the
+    DIVERGENCE_WINDOWS, spanning that many decades of offset.  A positive
+    ``step`` first thins the probes to one per ``step`` decades from that
+    end, so an oscillating climb is judged by its trend, not its wiggles.
     """
     if not at_start:
         offsets = offsets[::-1]
         w = w[::-1]
-    if len(w) < 7:
+    if len(w) < 7 or w[0] <= 0:
         return False
     span = np.abs(np.log10(offsets / offsets[0]))
-    j = int(np.searchsorted(span, DIVERGENCE_DECADES))
-    if j >= len(w) or j < 6:
-        return False
-    head = w[: j + 1]
-    if head[0] <= 0 or head[0] < np.max(head):
-        return False
-    wobbles = int(np.sum(head[:-1] < head[1:]))
-    return head[0] >= DIVERGENCE_FACTOR * abs(head[j]) and wobbles <= j // 6
+    if step:
+        keep = np.unique(np.searchsorted(span, np.arange(0.0, span[-1], step)))
+        span = span[keep]
+        w = w[keep]
+    for decades, head_climb in DIVERGENCE_WINDOWS:
+        j = int(np.searchsorted(span, decades))
+        if j >= len(w) or j < 6:
+            continue
+        head = w[: j + 1]
+        quarter = head[int(np.searchsorted(span, decades / 4.0))]
+        wobbles = int(np.sum(head[:-1] < head[1:]))
+        if (head[0] >= np.max(head) and head[0] >= DIVERGENCE_FACTOR * abs(head[j])
+                and wobbles <= j // 6 and head[0] > head_climb * quarter):
+            return True
+    return False
 
 
 def _aitken(v1, v2, v3):
@@ -288,7 +339,7 @@ def _side_candidates(f, t_off, w, side_sign, unbounded):
     return candidates, brackets
 
 
-def _optimize(f, ratio_on, directions, *, max_offset, probes_per_side, positivity):
+def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
     """Find the extrema of the ratio over the domain minus the mean.
 
     ratio_on(signs, offsets) must return (ratio, noise) arrays at
@@ -296,35 +347,44 @@ def _optimize(f, ratio_on, directions, *, max_offset, probes_per_side, positivit
     for all.  For each entry of ``directions`` the solver maximizes
     ``direction * ratio`` and returns one (value, chosen, diag, near_mu)
     tuple.  All directions share one probe scan per side, and every bracket
-    of every direction is refined in one lockstep search.  With
-    ``positivity`` set, any trusted probe with a non-positive ratio aborts
-    the search, since the comparison curve has the wrong sign there.
+    of every direction is refined in one lockstep search.
+
+    ``screen`` names the declared growth the scan checks before any
+    refinement.  "upper" rejects a ratio that climbs without bound toward
+    the mean or an infinite end; "lower" rejects a probe of the wrong sign,
+    no trusted probe at all, or a ratio that decays to zero.  When both
+    ends fail, the far end and then the left side name the failure.
     """
     candidates = [[] for _ in directions]
     probes = 0
     # one row per bracket: (direction index, side sign, lo, hi, slot)
     brackets = []
+    escape = None
 
-    for side_sign, top, unbounded in _sides(f, max_offset):
-        offsets = np.geomspace(MIN_OFFSET, top, probes_per_side)
+    for side_sign, top, unbounded in _sides(f, max_offset, screen):
+        offsets = np.geomspace(MIN_OFFSET, top, DEFAULT_PROBES_PER_SIDE)
         ratio, noise = ratio_on(side_sign, offsets)
         probes += len(offsets)
+        if screen:
+            # the screen judges every probe clear of the noise by
+            # SCREEN_TRUST_FACTOR; the solver's values need TRUST_FACTOR
+            seen = np.abs(ratio) >= SCREEN_TRUST_FACTOR * noise
+            if screen == "lower" and np.any(seen & (ratio < 0.0)):
+                raise ConditionViolationError(
+                    "sign violation: the declared gap direction fails at this probe"
+                )
+            # a lower ratio escapes by decaying, that is when 1 / ratio climbs
+            climb = ratio[seen] if screen == "upper" else 1.0 / ratio[seen]
+            for location, at_start in ((AT_MU, True), (AT_INFINITY, False)):
+                if ((at_start or unbounded)
+                        and _diverges(offsets[seen], climb, at_start, SCREEN_STEP)):
+                    escape = location
+
         mask = np.abs(ratio) >= TRUST_FACTOR * noise
         t_off = offsets[mask]
         t_ratio = ratio[mask]
         if len(t_off) == 0:
             continue
-
-        if positivity:
-            bad = np.nonzero(t_ratio <= 0.0)[0]
-            if len(bad):
-                i = int(bad[np.argmin(t_ratio[bad])])
-                x_bad = f.mu + side_sign * t_off[i]
-                raise ConditionViolationError(
-                    f"ratio has the wrong sign near x = {x_bad:.6g} "
-                    f"(value {t_ratio[i]:.6g}); the declared gap direction "
-                    "does not hold for this function"
-                )
 
         for k, direction in enumerate(directions):
             found, side_brackets = _side_candidates(
@@ -335,6 +395,19 @@ def _optimize(f, ratio_on, directions, *, max_offset, probes_per_side, positivit
             brackets.extend(
                 (k, side_sign, lo, hi, base + slot) for lo, hi, slot in side_brackets
             )
+
+    if escape:
+        error, reasons = _ESCAPES[screen]
+        raise error(reasons[escape])
+    if not any(candidates):
+        if screen == "lower":
+            raise ConditionViolationError(
+                "no probe rose above the noise floor; cannot certify positivity"
+            )
+        raise DegenerateEnvelopeError(
+            "no probe rose above the floating-point noise floor; the ratio "
+            "is numerically indistinguishable from zero everywhere"
+        )
 
     refinements = [0] * len(directions)
     if brackets:
@@ -361,11 +434,6 @@ def _optimize(f, ratio_on, directions, *, max_offset, probes_per_side, positivit
                 float(width[j]),
             )
 
-    if not any(candidates):
-        raise DegenerateEnvelopeError(
-            "no probe rose above the floating-point noise floor; the ratio "
-            "is numerically indistinguishable from zero everywhere"
-        )
     return [
         _choose(direction, found, probes, spent)
         for direction, found, spent in zip(directions, candidates, refinements)
@@ -422,130 +490,90 @@ def check_terms(terms):
     return tuple(sorted(cleaned))
 
 
-def _sup_of_abs_ratio(f, terms, *, role, params, validated, probes_per_side):
-    """sup over x != mu of |f(x) - f(mu)| / sum_eta a_eta |x - mu|^eta."""
-    fmu = evaluate(f, f.mu)
-
-    def ratio_on(signs, offsets):
-        xs = f.mu + signs * offsets
-        fx = eval_many(f, xs)
-        den = _term_sum(offsets, terms, invert=False)
-        return np.abs(fx - fmu) / den, noise_floor(fx, fmu) / den
-
-    [(value, chosen, diag, _)] = _optimize(
-        f,
-        ratio_on,
-        (+1.0,),
-        max_offset=_offset_cap(terms),
-        probes_per_side=probes_per_side,
-        positivity=False,
-    )
-    if math.isinf(value):
-        raise UnboundedEnvelopeError(
-            f"|f - f(mu)| outgrows the comparison curve ({chosen.location}); "
-            "no finite constant exists for these exponents"
-        )
-    return EnvelopeConstant(
-        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag,
-        f.label,
-    )
+def _comparison_terms(decl):
+    """The power sum a declaration compares f with: |t|^alpha + |t|^n for
+    the upper role, |t|^-beta + |t|^-alpha for the lower one, which
+    collapses to 2 |t|^-alpha when beta equals alpha."""
+    if decl.role == "upper":
+        return ((decl.alpha, 1.0), (decl.n, 1.0))
+    if decl.beta == decl.alpha:
+        return ((decl.alpha, 2.0),)
+    return ((decl.beta, 1.0), (decl.alpha, 1.0))
 
 
-def _inf_of_signed_ratio(f, terms, sign, *, role, params, validated, probes_per_side):
-    """inf over x != mu of the signed deviation times sum_eta a_eta |x-mu|^-eta.
+def _declared_envelope(f, decl, terms, role, params):
+    """Screen the declared growth and solve its envelope constant.
 
-    The comparison curve here is the harmonic form 1 / sum a |x-mu|^-eta, so
-    dividing by it means multiplying by the sum.
+    Upper role: sup over x != mu of |f(x) - f(mu)| / sum_eta a_eta |x-mu|^eta.
+    Lower role: inf over x != mu of the signed deviation (per ``decl.sign``)
+    times sum_eta a_eta |x-mu|^-eta.  The lower comparison curve is the
+    harmonic form 1 / sum a |x-mu|^-eta, so dividing by it means
+    multiplying by the sum.  An infimum indistinguishable from zero raises
+    DegenerateEnvelopeError.
     """
     fmu = evaluate(f, f.mu)
-    flip = -1.0 if sign == GAP_BELOW else 1.0
+    upper = decl.role == "upper"
+    flip = -1.0 if decl.sign == GAP_BELOW else 1.0
 
     def ratio_on(signs, offsets):
-        xs = f.mu + signs * offsets
-        fx = eval_many(f, xs)
+        fx = eval_many(f, f.mu + signs * offsets)
+        if upper:
+            den = _term_sum(offsets, terms, invert=False)
+            return np.abs(fx - fmu) / den, noise_floor(fx, fmu) / den
         mult = _term_sum(offsets, terms, invert=True)
         return flip * (fx - fmu) * mult, noise_floor(fx, fmu) * mult
 
     [(value, chosen, diag, near_mu)] = _optimize(
         f,
         ratio_on,
-        (-1.0,),
+        (1.0 if upper else -1.0,),
         max_offset=_offset_cap(terms),
-        probes_per_side=probes_per_side,
-        positivity=True,
+        screen=decl.role,
     )
-    if value <= DEGENERACY_TOLERANCE * max(near_mu, 1.0):
+    if upper and math.isinf(value):
+        # the solver's limit checks see escapes the screen's sparser reading
+        # misses, such as a climb toward the mean by steps that do not shrink
+        error, reasons = _ESCAPES["upper"]
+        raise error(reasons[chosen.location])
+    if not upper and value <= DEGENERACY_TOLERANCE * max(near_mu, 1.0):
         raise DegenerateEnvelopeError(
             f"infimum {value:.3g} is indistinguishable from zero; the "
             "resulting lower bound would be vacuous"
         )
     return EnvelopeConstant(
-        value, chosen.arg, chosen.location, role, f.mu, params, validated, diag,
+        value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
         f.label,
     )
 
 
-def sup_ratio_upper(f, alpha, n, *, validate=True,
-                    probes_per_side=DEFAULT_PROBES_PER_SIDE):
+def sup_ratio_upper(f, alpha, n):
     """Smallest M with |f(x) - f(mu)| <= M (|x-mu|^alpha + |x-mu|^n).
 
-    With ``validate`` the declared growth is first checked empirically:
-    f - f(mu) must be O(|x-mu|^alpha) near the mean and O(|x-mu|^n) far
-    away, otherwise no finite M exists and the check reports where the
-    ratio escapes.
+    The scan first screens the declared growth: f - f(mu) must be
+    O(|x-mu|^alpha) near the mean and O(|x-mu|^n) far away, otherwise no
+    finite M exists and UnboundedEnvelopeError says where the ratio escapes.
+    alpha may equal n.
     """
     decl = GrowthDeclaration("upper", alpha=float(alpha), n=float(n))
-    validated = False
-    if validate:
-        report = validate_growth(f, decl)
-        if not report.passed:
-            raise UnboundedEnvelopeError(report.message)
-        validated = True
-    terms = ((float(alpha), 1.0), (float(n), 1.0))
-    params = (("alpha", float(alpha)), ("n", float(n)))
-    return _sup_of_abs_ratio(
-        f, terms, role="upper_sup", params=params, validated=validated,
-        probes_per_side=probes_per_side,
-    )
+    params = (("alpha", decl.alpha), ("n", decl.n))
+    return _declared_envelope(f, decl, _comparison_terms(decl), "upper_sup", params)
 
 
-def inf_ratio_lower(f, alpha, beta, sign=GAP_ABOVE, *, validate=True,
-                    probes_per_side=DEFAULT_PROBES_PER_SIDE):
+def inf_ratio_lower(f, alpha, beta, sign=GAP_ABOVE):
     """Largest M with the signed deviation >= M / (|x-mu|^-beta + |x-mu|^-alpha).
 
     ``sign`` declares the gap direction: with ``gap_above`` the deviation is
     f(x) - f(mu) (convex-like case), with ``gap_below`` it is f(mu) - f(x).
-    A trusted probe of the wrong sign raises ConditionViolationError; an
-    infimum indistinguishable from zero raises DegenerateEnvelopeError.
+    A probe of the wrong sign or a ratio decaying to zero toward the mean or
+    infinity raises ConditionViolationError; an infimum indistinguishable
+    from zero raises DegenerateEnvelopeError.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not 0.0 <= beta <= alpha or alpha <= 0:
-        raise InvalidParameterError(
-            f"need 0 <= beta <= alpha with alpha > 0, got beta={beta} alpha={alpha}"
-        )
-    if sign not in (GAP_ABOVE, GAP_BELOW):
-        raise InvalidParameterError(f"unknown gap sign {sign!r}")
-    decl = GrowthDeclaration("lower", alpha=alpha, beta=beta, sign=sign)
-    validated = False
-    if validate:
-        report = validate_growth(f, decl)
-        if not report.passed:
-            raise ConditionViolationError(report.message)
-        validated = True
-    if beta == alpha:
-        # |t|^-beta + |t|^-alpha collapses to 2 |t|^-alpha.
-        terms = ((alpha, 2.0),)
-    else:
-        terms = ((beta, 1.0), (alpha, 1.0))
-    params = (("alpha", alpha), ("beta", beta), ("sign", sign))
-    return _inf_of_signed_ratio(
-        f, terms, sign, role="lower_inf", params=params, validated=validated,
-        probes_per_side=probes_per_side,
-    )
+    decl = GrowthDeclaration("lower", alpha=float(alpha), beta=float(beta), sign=sign)
+    params = (("alpha", decl.alpha), ("beta", decl.beta), ("sign", sign))
+    return _declared_envelope(f, decl, _comparison_terms(decl), "lower_inf", params)
 
 
-def curvature_envelope(f, *, probes_per_side=DEFAULT_PROBES_PER_SIDE):
+def curvature_envelope(f):
     """Extrema of h(x) = (f(x) - f(mu) - f'(mu)(x - mu)) / (x - mu)^2.
 
     Returns (inf_constant, sup_constant).  Either side may legitimately be
@@ -568,8 +596,6 @@ def curvature_envelope(f, *, probes_per_side=DEFAULT_PROBES_PER_SIDE):
         ratio_on,
         (-1.0, +1.0),
         max_offset=_offset_cap(((2.0, 1.0),)),
-        probes_per_side=probes_per_side,
-        positivity=False,
     )
     params = (("slope", float(slope)),)
     return tuple(
@@ -583,50 +609,25 @@ def curvature_envelope(f, *, probes_per_side=DEFAULT_PROBES_PER_SIDE):
     )
 
 
-def sup_ratio_general(f, terms, mode, sign=GAP_ABOVE, *, validate=True,
-                      probes_per_side=DEFAULT_PROBES_PER_SIDE):
+def sup_ratio_general(f, terms, mode, sign=GAP_ABOVE):
     """Envelope constant against a user-supplied power sum.
 
     ``terms`` is a sequence of (exponent, coefficient) pairs defining
     t(x) = sum a_eta |x - mu|^eta.  With mode "sup" this returns
-    sup |f - f(mu)| / t; with mode "inf" the comparison curve is the
+    sup |f - f(mu)| / t, screened as an upper declaration with the smallest
+    and largest exponents; with mode "inf" the comparison curve is the
     harmonic form 1 / sum a_eta |x - mu|^-eta and the signed infimum is
-    returned, exactly as in the two specialized operations.
+    returned, screened as a lower declaration, exactly as in the two
+    specialized operations.
     """
     terms = check_terms(terms)
     etas = [eta for eta, _ in terms]
-    params = tuple(
-        [("terms", tuple(terms)), ("mode", mode)]
-        + ([("sign", sign)] if mode == "inf" else [])
-    )
     if mode == "sup":
-        if min(etas) <= 0:
-            raise InvalidParameterError("sup mode needs strictly positive exponents")
         decl = GrowthDeclaration("upper", alpha=min(etas), n=max(etas))
-        validated = False
-        if validate:
-            report = validate_growth(f, decl)
-            if not report.passed:
-                raise UnboundedEnvelopeError(report.message)
-            validated = True
-        return _sup_of_abs_ratio(
-            f, terms, role="general_sup", params=params, validated=validated,
-            probes_per_side=probes_per_side,
-        )
-    if mode == "inf":
-        if sign not in (GAP_ABOVE, GAP_BELOW):
-            raise InvalidParameterError(f"unknown gap sign {sign!r}")
-        decl = GrowthDeclaration(
-            "lower", alpha=max(etas), beta=min(etas), sign=sign
-        )
-        validated = False
-        if validate:
-            report = validate_growth(f, decl)
-            if not report.passed:
-                raise ConditionViolationError(report.message)
-            validated = True
-        return _inf_of_signed_ratio(
-            f, terms, sign, role="general_inf", params=params, validated=validated,
-            probes_per_side=probes_per_side,
-        )
-    raise InvalidParameterError(f"mode must be 'sup' or 'inf', got {mode!r}")
+        params = (("terms", terms), ("mode", mode))
+    elif mode == "inf":
+        decl = GrowthDeclaration("lower", alpha=max(etas), beta=min(etas), sign=sign)
+        params = (("terms", terms), ("mode", mode), ("sign", sign))
+    else:
+        raise InvalidParameterError(f"mode must be 'sup' or 'inf', got {mode!r}")
+    return _declared_envelope(f, decl, terms, f"general_{mode}", params)

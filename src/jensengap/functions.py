@@ -7,12 +7,13 @@ a*(x - mu) never changes the gap, but it can shrink the envelope constants
 dramatically, so the shift is a first-class operation here.
 
 Growth declarations state which power-law envelope the caller believes f
-fits.  ``validate_growth`` checks the claim on a log-spaced probe grid and
-reports the worst probe; it is a heuristic screen, not a proof.
+fits, and are the one place where the exponents and the gap sign are
+checked.  The envelope solver screens a declaration on its own probe scan;
+``validate_growth`` reports that verdict without raising.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,29 +23,10 @@ from .errors import (
     DomainError,
     EvaluationError,
     InvalidParameterError,
+    UnboundedEnvelopeError,
 )
 
 EPS = float(np.finfo(float).eps)
-
-# Probe layout shared with the envelope solver: offsets |x - mu| span
-# PROBE_DECADES decades below 1 up to PROBE_DECADES above.
-MIN_OFFSET = 1e-8
-MAX_OFFSET = 1e8
-VALIDATION_PROBES_PER_SIDE = 33
-
-# A probe value is only trusted when it clears the cancellation noise floor
-# by this factor; see ``noise_floor``.
-RELIABILITY_FACTOR = 100.0
-
-
-def noise_floor(fx, fmu):
-    """Absolute rounding-noise scale for the difference f(x) - f(mu).
-
-    Deliberately conservative: evaluation of f near mu loses the leading
-    digits of the difference to cancellation, and a black-box rule gives us
-    no better handle than the magnitudes involved.
-    """
-    return 16.0 * EPS * (np.abs(fx) + abs(fmu) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -326,7 +308,7 @@ def select_shift_slope(f):
 
 
 # ---------------------------------------------------------------------------
-# Growth validation
+# Growth screen
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -337,134 +319,20 @@ class GrowthReport:
     message: str = ""
 
 
-def _side_offsets(domain, mu, count=VALIDATION_PROBES_PER_SIDE):
-    """Log-spaced probe offsets for each side of mu, clipped to the domain.
-
-    Returns (right, left) offset arrays; an empty array means that side of
-    mu has no room inside the interval.
-    """
-    sides = []
-    for reach in (domain.hi - mu, mu - domain.lo):
-        top = min(reach, MAX_OFFSET)
-        if top <= MIN_OFFSET:
-            sides.append(np.empty(0))
-        else:
-            sides.append(np.geomspace(MIN_OFFSET, top, count))
-    return sides[0], sides[1]
-
-
-def _diverges_toward(ratios, span=6, factor=50.0):
-    """True when `ratios`, ordered with the end of interest first, climbs
-    monotonically (one wobble allowed) by more than `factor` over `span`
-    probes.  A doubled baseline catches slower power-law climbs, but only
-    while the probes nearest the end are still rising themselves: a profile
-    that levels off at the end has converged no matter how far it fell
-    further out."""
-    for steps, head_climb in ((span, 0.0), (2 * span, 2.0)):
-        if len(ratios) < steps + 1:
-            continue
-        head = ratios[: steps + 1]
-        wobbles = sum(1 for i in range(steps) if head[i] < head[i + 1])
-        if (wobbles <= 1 and head[0] > factor * head[steps]
-                and head[0] == max(head) and head[0] > head_climb * head[3]):
-            return True
-    return False
-
-
 def validate_growth(f, decl):
-    """Check a GrowthDeclaration on the probe grid.
+    """Screen a GrowthDeclaration on the envelope solver's probe scan.
 
-    Heuristic screen: the upper role fails when the envelope ratio climbs
-    without sign of leveling toward mu or infinity; the lower role fails on
-    an observed sign violation or a ratio decaying toward zero.  The report
-    carries the worst probe either way.
+    A view over the solver, for callers that want a verdict rather than an
+    exception: the report fails, with the screen's reason, when an upper
+    ratio climbs without bound or a lower one has the wrong sign or decays
+    to zero.  A passing report carries the envelope constant of the
+    declaration's own comparison curve and where it is attained.  Other
+    typed errors, such as a degenerate constant, propagate.
     """
-    fmu = evaluate(f, f.mu)
-    right, left = _side_offsets(f.domain, f.mu)
-    if len(right) == 0 and len(left) == 0:
-        return GrowthReport(False, decl.role, f.mu, math.nan, "no probe room inside the domain")
+    from .envelope import _comparison_terms, _declared_envelope
 
-    worst_x, worst_ratio = f.mu, -math.inf if decl.role == "upper" else math.inf
-    ok, message = True, ""
-
-    for sgn, offs in ((+1, right), (-1, left)):
-        if len(offs) == 0:
-            continue
-        xs = f.mu + sgn * offs
-        fx = eval_many(f, xs)
-        diff = fx - fmu
-        noise = noise_floor(fx, fmu)
-
-        if decl.role == "upper":
-            num = np.abs(diff)
-            den = offs ** decl.alpha + offs ** decl.n
-            trusted = (num == 0.0) | (num >= RELIABILITY_FACTOR * noise)
-            ratio = num / den
-        else:
-            num = diff if decl.sign == GAP_ABOVE else -diff
-            den = 1.0 / (offs ** -decl.beta + offs ** -decl.alpha) if decl.beta > 0 else \
-                1.0 / (1.0 + offs ** -decl.alpha)
-            trusted = np.abs(num) >= RELIABILITY_FACTOR * noise
-            violations = trusted & (num < 0)
-            if np.any(violations):
-                i = int(np.argmin(num / den))
-                return GrowthReport(False, decl.role, float(xs[i]), float(num[i] / den[i]),
-                                    "sign violation: the declared gap direction fails at this probe")
-            ratio = num / den
-
-        r = ratio[trusted]
-        x_t = xs[trusted]
-        if len(r) == 0:
-            continue
-
-        if decl.role == "upper":
-            i = int(np.argmax(r))
-            if r[i] > worst_ratio:
-                worst_ratio, worst_x = float(r[i]), float(x_t[i])
-            # Probes where the difference rounded to exactly zero say nothing
-            # about the ratio and would mask a climb right next to them.
-            r_pos = r[r > 0.0]
-            # toward mu (offsets ascending -> index 0 is nearest mu)
-            if _diverges_toward(r_pos):
-                ok, message = False, "ratio climbs unboundedly toward mu; alpha is too large"
-            # toward the far end, only when this side is unbounded
-            if math.isinf(f.domain.hi if sgn > 0 else f.domain.lo) and _diverges_toward(r_pos[::-1]):
-                ok, message = False, "ratio climbs unboundedly toward infinity; n is too small"
-        else:
-            i = int(np.argmin(r))
-            if r[i] < worst_ratio:
-                worst_ratio, worst_x = float(r[i]), float(x_t[i])
-            inv = 1.0 / np.maximum(r, 1e-300)
-            if _diverges_toward(inv):
-                ok, message = False, "ratio decays toward zero at mu; alpha is too small"
-            if math.isinf(f.domain.hi if sgn > 0 else f.domain.lo) and _diverges_toward(inv[::-1]):
-                ok, message = False, "ratio decays toward zero at infinity; beta is too large"
-
-    if decl.role == "lower" and not math.isfinite(worst_ratio):
-        return GrowthReport(False, decl.role, f.mu, math.nan,
-                            "no probe rose above the noise floor; cannot certify positivity")
-    return GrowthReport(ok, decl.role, worst_x, worst_ratio, message)
-
-
-def infer_gap_sign(f):
-    """Probe whether f - f(mu) keeps one sign on the grid.
-
-    Returns "gap_above", "gap_below", or None when the signs are mixed or
-    nothing rises above the noise floor.
-    """
-    fmu = evaluate(f, f.mu)
-    right, left = _side_offsets(f.domain, f.mu)
-    signs = set()
-    for sgn, offs in ((+1, right), (-1, left)):
-        if len(offs) == 0:
-            continue
-        xs = f.mu + sgn * offs
-        fx = eval_many(f, xs)
-        diff = fx - fmu
-        trusted = np.abs(diff) >= RELIABILITY_FACTOR * noise_floor(fx, fmu)
-        signs.update(np.sign(diff[trusted]).tolist())
-    if signs == {1.0}:
-        return GAP_ABOVE
-    if signs == {-1.0}:
-        return GAP_BELOW
-    return None
+    try:
+        m = _declared_envelope(f, decl, _comparison_terms(decl), decl.role, ())
+    except (UnboundedEnvelopeError, ConditionViolationError) as exc:
+        return GrowthReport(False, decl.role, math.nan, math.nan, str(exc))
+    return GrowthReport(True, decl.role, m.arg, m.value)

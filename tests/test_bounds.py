@@ -130,6 +130,18 @@ def test_holder_parameter_rejection():
         lower_bound_holder(M, dist, 2.0, 1.0, 3, 1)
     with pytest.raises(InvalidParameterError):
         lower_bound_holder_single(M, dist, 2.0, 1.0, 2.5)
+    # non-finite k or q: typed errors, not ValueError or OverflowError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            valid_holder_q(bad)
+        with pytest.raises(InvalidParameterError):
+            lower_bound_holder(M, dist, 2.0, 1.0, bad, 2)
+        with pytest.raises(InvalidParameterError):
+            lower_bound_holder(M, dist, 2.0, 1.0, 3, bad)
+        with pytest.raises(InvalidParameterError):
+            lower_bound_holder_single(M, dist, 2.0, 1.0, bad)
+        with pytest.raises(InvalidParameterError):
+            general_bounds(f, dist, [(1.0, 1.0), (2.0, 1.0)], "lower", k=bad)
 
 
 def test_envelope_role_mismatch_rejected():
