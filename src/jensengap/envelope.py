@@ -198,7 +198,8 @@ def _diverges(offsets, w, at_start, step=0.0):
         return False
     span = np.abs(np.log10(offsets / offsets[0]))
     if step:
-        keep = np.unique(np.searchsorted(span, np.arange(0.0, span[-1], step)))
+        keep = np.searchsorted(span, np.arange(0.0, span[-1], step))
+        keep = keep[np.diff(keep, prepend=-1) > 0]
         span = span[keep]
         w = w[keep]
     for decades, head_climb in DIVERGENCE_WINDOWS:
