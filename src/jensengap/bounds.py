@@ -17,7 +17,7 @@ below, with m_0 = 1 by the |t|^0 = 1 convention.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .distributions import (
     DEFAULT_MOMENT_SAMPLES,
@@ -135,14 +135,16 @@ def _evaluate_with_uncertainty(formula, moments):
     return float(value), float(unc)
 
 
-def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw):
+def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
+                     loose=None):
     """The bound M (sum c m_r)^power / (sum c m_r)^root over two term lists.
 
     ``num`` and ``den`` are (coefficient, order) pairs.  A denominator order
     of None is the literal m_0 = 1, not requested as a moment; every other
     order is requested in sequence, numerator first, which is the order
     ``moments_used`` lists them in.  Every bound kind except the variance
-    interval is one such spec.
+    interval is one such spec.  ``loose``, a formula of the m_r values,
+    gives the report's ``loose_value``.
     """
     mean = _check_mean(M.mu, dist)
     orders = [r for _, r in num + den if r is not None]
@@ -154,6 +156,8 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw):
         return M.value * top ** power / bottom ** root
 
     value, unc = _evaluate_with_uncertainty(formula, moments)
+    if loose is not None:
+        loose, _ = _evaluate_with_uncertainty(loose, moments)
     return BoundReport(
         kind=kind,
         value=value,
@@ -163,6 +167,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw):
         params=params,
         valid=M.validated,
         uncertainty=unc,
+        loose_value=loose,
         f_label=M.f_label,
         dist_label=dist.variant,
     )
@@ -178,14 +183,16 @@ def upper_bound(M, dist, alpha, n, *, seed=None,
     alpha = float(alpha)
     n = float(n)
     _require_envelope(M, "upper_sup", alpha=alpha, n=n)
-    report = _power_sum_bound(
+
+    def loose(m):
+        m_n = m[n]
+        return M.value * (1.0 + m_n ** ((n - alpha) / n)) * m_n ** (alpha / n)
+
+    return _power_sum_bound(
         "upper", M, dist, (("alpha", alpha), ("n", n)),
         [(1, alpha), (1, n)], 1.0, [(1.0, None)], 1.0,
-        dict(seed=seed, samples=samples, nodes=nodes),
+        dict(seed=seed, samples=samples, nodes=nodes), loose,
     )
-    m_n = next(mv.sigma_p_pow for mv in report.moments_used if mv.p == n)
-    loose = M.value * (1.0 + m_n ** ((n - alpha) / n)) * m_n ** (alpha / n)
-    return replace(report, loose_value=float(loose))
 
 
 def _lower_sign(M, alpha, beta):

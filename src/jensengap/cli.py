@@ -238,15 +238,14 @@ def cmd_bound(args):
         report = bounds.variance_interval(f, dist, **kw)
     else:
         g = _shifted(f, opts["shift"])
-        lower_envelope = lambda: _signed(
-            lambda s: inf_ratio_lower(g, alpha, beta, sign=s), opts["sign"])
+        lower = lambda s: inf_ratio_lower(g, alpha, beta, sign=s)
         if kind == "upper":
             _need(opts, "alpha", "n")
             M = sup_ratio_upper(g, alpha, opts["n"])
             report = bounds.upper_bound(M, dist, alpha, opts["n"], **kw)
         elif kind == "lower":
             _need(opts, "alpha", "beta")
-            M = lower_envelope()
+            M = _signed(lower, opts["sign"])
             report = bounds.lower_bound_cauchy_schwarz(M, dist, alpha, beta, **kw)
         elif kind == "holder":
             _need(opts, "alpha", "beta", "k")
@@ -256,13 +255,13 @@ def cmd_bound(args):
                     f"--kind holder needs --q; valid choices for k={k}: "
                     f"{bounds.valid_holder_q(k)}"
                 )
-            M = lower_envelope()
+            M = _signed(lower, opts["sign"])
             report = bounds.lower_bound_holder(
                 M, dist, alpha, beta, k, int(opts["q"]), **kw
             )
         elif kind == "holder_single":
             _need(opts, "alpha", "beta", "k")
-            M = lower_envelope()
+            M = _signed(lower, opts["sign"])
             report = bounds.lower_bound_holder_single(
                 M, dist, alpha, beta, int(opts["k"]), **kw
             )

@@ -204,13 +204,13 @@ def _diverges(offsets, w, at_start, step=0.0):
         w = w[keep]
     for decades, head_climb in DIVERGENCE_WINDOWS:
         j = int(np.searchsorted(span, decades))
-        if j >= len(w) or j < 6:
-            continue
+        if j >= len(w):
+            return False
         head = w[: j + 1]
-        quarter = head[int(np.searchsorted(span, decades / 4.0))]
-        wobbles = int(np.sum(head[:-1] < head[1:]))
-        if (head[0] >= np.max(head) and head[0] >= DIVERGENCE_FACTOR * abs(head[j])
-                and wobbles <= j // 6 and head[0] > head_climb * quarter):
+        if (j >= 6 and head[0] >= DIVERGENCE_FACTOR * abs(head[j])
+                and head[0] > head_climb * head[np.searchsorted(span, decades / 4.0)]
+                and head[0] >= head.max()
+                and np.count_nonzero(head[:-1] < head[1:]) <= j // 6):
             return True
     return False
 
