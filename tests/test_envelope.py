@@ -339,8 +339,8 @@ def test_narrow_peak_is_found():
 
 
 @pytest.mark.xfail(strict=True, reason="a climb at a logarithmic rate stays "
-                   "under every divergence window; the probe cap at 1e8 "
-                   "ends it; needs a certified envelope")
+                   "under every divergence window, so the sup is taken at the "
+                   "1e8 probe cap; needs a certified envelope")
 def test_logarithmic_climb_is_unbounded():
     # |f| / (x^2 + x^2) = log(1 + |x|) / 2 has no finite sup; the solver
     # returns log(1 + 1e8) / 2 = 9.21, and on two_point(0, 1e9) the gap

@@ -2,9 +2,9 @@
 
 Each case runs one CLI call with a fixed seed and compares stdout with
 ``tests/golden/<name>.json``; a few cases are also compared in their CSV
-(``<name>.csv``) and table (``<name>.txt``) renderings.  A change that moves any printed digit, key or
-diagnostic fails here; the goldens are only regenerated on purpose, for a
-change whose output is meant to differ.
+(``<name>.csv``) and table (``<name>.txt``) renderings.  A change that moves
+any printed digit, key or diagnostic fails here; the goldens are only
+regenerated on purpose, for a change whose output is meant to differ.
 """
 
 import pathlib
