@@ -86,6 +86,11 @@ CASES = {
                                       "--dist", LAPLACE, *SEED],
     "sweep_mean_of_n": ["sweep", "--mode", "mean_of_n", "--function", COS,
                         "--dist", LAPLACE, *SEED],
+    "sweep_two_point": ["sweep", "--mode", "two_point", *SEED],
+    # each sharpness construction at its default parameters
+    "tightness_two_point": ["tightness", "--construction", "two_point"],
+    "tightness_three_point": ["tightness", "--construction", "three_point"],
+    "tightness_outlier": ["tightness", "--construction", "outlier"],
 }
 
 RENDERED = {"csv": "csv", "table": "txt"}
