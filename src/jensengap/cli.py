@@ -17,7 +17,9 @@ import sys
 
 from . import bounds
 from .catalog import REL_TOL, worked_example_rows
-from .distributions import DEFAULT_NODES, MIN_NODES, distribution_from_dict
+from .distributions import (
+    DEFAULT_MOMENT_SAMPLES, DEFAULT_NODES, MIN_NODES, distribution_from_dict,
+)
 from .envelope import inf_ratio_lower, sup_ratio_upper
 from .errors import ConditionViolationError, InvalidParameterError, JensenGapError
 from .functions import GAP_ABOVE, GAP_BELOW, linear_shift, function_from_dict, select_shift_slope
@@ -96,20 +98,19 @@ def render_table(rows, footer=()):
     return "\n".join(lines) + "\n"
 
 
-def emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+def emit(opts, payload, rows, footer=()):
+    """Render in the --format chosen and write to --out, or to stdout."""
+    if opts["format"] == "json":
+        text = render_json(payload)
+    elif opts["format"] == "csv":
+        text = render_csv(rows)
+    else:
+        text = render_table(rows, footer)
+    if opts["out"]:
+        with open(opts["out"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def render(fmt_name, payload, rows, footer=()):
-    if fmt_name == "json":
-        return render_json(payload)
-    if fmt_name == "csv":
-        return render_csv(rows)
-    return render_table(rows, footer)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,31 @@ def _load_json_arg(text, what):
         return json.load(fh)
 
 
-def merged_options(args, defaults):
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+def _config_flag(key, value):
+    """A config entry as the flag that would set it: whole-number floats
+    without a fraction (so 1.0 reads as an int), strings as they are,
+    other values as JSON."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    text = value if isinstance(value, str) else json.dumps(value)
+    return f"--{key.replace('_', '-')}={text}"
+
+
+def _add_options(parser, names):
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
+
+
+def merged_options(args):
+    """Defaults, overlaid by the config file, overlaid by explicit flags.
+
+    Config values are read as flag text by the command's own options, so
+    they take each flag's type and choices; null leaves an option unset.
+    """
+    defaults = COMMANDS[args.command][2]
     opts = dict(defaults)
-    if getattr(args, "config", None):
+    layers = [args]
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
@@ -138,11 +160,16 @@ def merged_options(args, defaults):
             raise InvalidParameterError(
                 f"config keys not understood by this command: {unknown}"
             )
-        opts.update(cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
+        reader = _Parser(add_help=False, exit_on_error=False)
+        _add_options(reader, defaults)
+        try:
+            layers.insert(0, reader.parse_args(
+                [_config_flag(k, v) for k, v in cfg.items() if v is not None]))
+        except argparse.ArgumentError as exc:
+            raise InvalidParameterError(f"config {args.config}: {exc}") from None
+    for layer in layers:
+        opts.update((key, value) for key, value in vars(layer).items()
+                    if key in defaults and value is not None)
     if "seed" in defaults and opts["seed"] is None:
         # resolve the environment fallback here so reports echo the seed
         # that was actually used
@@ -181,11 +208,8 @@ def _signed(solve, sign):
 
 def _moment_kw(opts):
     """Seed, sample count and quadrature budget for the moment and gap calls."""
-    kw = {"seed": opts["seed"]}
-    for key in ("samples", "nodes"):
-        if opts[key] is not None:
-            kw[key] = int(opts[key])
-    return kw
+    return {key: opts[key] for key in ("seed", "samples", "nodes")
+            if opts[key] is not None}
 
 
 def _parse_terms(text):
@@ -200,13 +224,6 @@ def _parse_terms(text):
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-BOUND_DEFAULTS = {
-    "function": None, "dist": None, "kind": None, "alpha": None, "n": None,
-    "beta": None, "k": None, "q": None, "terms": None, "sign": "auto",
-    "shift": "auto", "seed": None, "samples": None, "nodes": None,
-    "format": "table", "out": None,
-}
 
 _BOUND_KINDS = (
     "upper", "lower", "holder", "holder_single", "variance",
@@ -223,7 +240,7 @@ def _need(opts, *names):
 
 
 def cmd_bound(args):
-    opts = merged_options(args, BOUND_DEFAULTS)
+    opts = merged_options(args)
     if opts["kind"] not in _BOUND_KINDS:
         raise InvalidParameterError(
             f"--kind must be one of {', '.join(_BOUND_KINDS)}, got {opts['kind']!r}"
@@ -233,7 +250,7 @@ def cmd_bound(args):
     kw = _moment_kw(opts)
 
     kind = opts["kind"]
-    alpha, beta = opts["alpha"], opts["beta"]
+    alpha, beta, k = opts["alpha"], opts["beta"], opts["k"]
     if kind == "variance":
         report = bounds.variance_interval(f, dist, **kw)
     else:
@@ -249,26 +266,22 @@ def cmd_bound(args):
             report = bounds.lower_bound_cauchy_schwarz(M, dist, alpha, beta, **kw)
         elif kind == "holder":
             _need(opts, "alpha", "beta", "k")
-            k = int(opts["k"])
             if opts["q"] is None:
                 raise InvalidParameterError(
                     f"--kind holder needs --q; valid choices for k={k}: "
                     f"{bounds.valid_holder_q(k)}"
                 )
             M = _signed(lower, opts["sign"])
-            report = bounds.lower_bound_holder(
-                M, dist, alpha, beta, k, int(opts["q"]), **kw
-            )
+            report = bounds.lower_bound_holder(M, dist, alpha, beta, k,
+                                               opts["q"], **kw)
         elif kind == "holder_single":
             _need(opts, "alpha", "beta", "k")
             M = _signed(lower, opts["sign"])
-            report = bounds.lower_bound_holder_single(
-                M, dist, alpha, beta, int(opts["k"]), **kw
-            )
+            report = bounds.lower_bound_holder_single(M, dist, alpha, beta,
+                                                      k, **kw)
         else:
             _need(opts, "terms")
             terms = _parse_terms(opts["terms"])
-            k = None if opts["k"] is None else int(opts["k"])
             if kind == "general_upper":
                 report = bounds.general_bounds(g, dist, terms, "upper", **kw)
             else:
@@ -297,18 +310,12 @@ def cmd_bound(args):
         "margin": verdict.margin,
     }
     footer = [f"verdict: {verdict.verdict} ({verdict.detail})"]
-    emit(render(opts["format"], payload, [row], footer), opts["out"])
+    emit(opts, payload, [row], footer)
     return EXIT_VIOLATION if verdict.verdict == "fail" else EXIT_OK
 
 
-ORACLE_DEFAULTS = {
-    "function": None, "dist": None, "seed": None, "samples": None,
-    "nodes": None, "format": "table", "out": None,
-}
-
-
 def cmd_oracle(args):
-    opts = merged_options(args, ORACLE_DEFAULTS)
+    opts = merged_options(args)
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
     gap = jensen_gap(f, dist, **_moment_kw(opts))
@@ -320,15 +327,12 @@ def cmd_oracle(args):
         "mu": gap.mu,
     }
     footer = [f"gap = {fmt(gap.value)} +- {fmt(gap.abs_error)}"]
-    emit(render(opts["format"], gap.to_dict(), [row], footer), opts["out"])
+    emit(opts, gap.to_dict(), [row], footer)
     return EXIT_OK
 
 
-EXAMPLES_DEFAULTS = {"format": "table", "out": None}
-
-
 def cmd_examples(args):
-    opts = merged_options(args, EXAMPLES_DEFAULTS)
+    opts = merged_options(args)
     rows = worked_example_rows()
     worst = max(r["rel_err"] for r in rows)
     ok = worst <= REL_TOL
@@ -344,51 +348,46 @@ def cmd_examples(args):
         for r in rows
     ]
     footer = [f"max relative error {fmt(worst)} against tolerance {fmt(REL_TOL)}"]
-    emit(render(opts["format"], payload, table_rows, footer), opts["out"])
+    emit(opts, payload, table_rows, footer)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-TIGHTNESS_DEFAULTS = {
-    "construction": None, "alpha": None, "n": None, "beta": None,
-    "sigma": None, "p": None, "sigma_n": None, "k": None, "q": None,
-    "j_max": None, "format": "table", "out": None,
+# each construction's parameters, at their defaults
+_CONSTRUCTIONS = {
+    "two_point": {"alpha": 2.0, "n": 4.0, "sigma": 0.5},
+    "three_point": {"alpha": 2.0, "beta": 1.0, "n": 2.0, "p": 0.01,
+                    "sigma_n": 1.0},
+    "outlier": {"beta": 1.0, "alpha": 2.0, "k": 1, "q": 1.5, "j_max": 1024},
 }
 
 
 def cmd_tightness(args):
-    opts = merged_options(args, TIGHTNESS_DEFAULTS)
+    opts = merged_options(args)
     kind = opts["construction"]
+    if kind not in _CONSTRUCTIONS:
+        raise InvalidParameterError(
+            f"--construction must be two_point, three_point, or outlier, got {kind!r}"
+        )
+    par = {**_CONSTRUCTIONS[kind],
+           **{key: value for key, value in opts.items() if value is not None}}
     if kind == "two_point":
-        alpha = 2.0 if opts["alpha"] is None else float(opts["alpha"])
-        n = 4.0 if opts["n"] is None else float(opts["n"])
-        sigma = 0.5 if opts["sigma"] is None else float(opts["sigma"])
-        result = two_point_equality(alpha, n, sigma)
+        result = two_point_equality(par["alpha"], par["n"], par["sigma"])
         diff = abs(result["gap"] - result["bound_floor"])
         scale = max(abs(result["bound_floor"]), 1e-30)
         payload = {**result, "abs_diff": diff,
                    "equal": diff <= EQUALITY_TOL * scale}
-        emit(render(opts["format"], payload, [payload]), opts["out"])
-        return EXIT_OK if payload["equal"] else EXIT_VIOLATION
-    if kind == "three_point":
-        alpha = 2.0 if opts["alpha"] is None else float(opts["alpha"])
-        beta = 1.0 if opts["beta"] is None else float(opts["beta"])
-        n = 2.0 if opts["n"] is None else float(opts["n"])
-        p = 0.01 if opts["p"] is None else float(opts["p"])
-        sigma_n = 1.0 if opts["sigma_n"] is None else float(opts["sigma_n"])
-        ratio = three_point_gap_ratio(alpha, beta, n, p, sigma_n)
-        closed = three_point_gap_ratio_closed_form(alpha, beta, n, p, sigma_n)
+        rows, footer, ok = [payload], (), payload["equal"]
+    elif kind == "three_point":
+        shape = (par["alpha"], par["beta"], par["n"], par["p"], par["sigma_n"])
+        ratio = three_point_gap_ratio(*shape)
+        closed = three_point_gap_ratio_closed_form(*shape)
         rel = abs(ratio - closed) / abs(closed)
         payload = {"ratio": ratio, "closed_form": closed, "rel_err": rel,
                    "match": rel <= RATIO_TOL}
-        emit(render(opts["format"], payload, [payload]), opts["out"])
-        return EXIT_OK if payload["match"] else EXIT_VIOLATION
-    if kind == "outlier":
-        beta = 1.0 if opts["beta"] is None else float(opts["beta"])
-        alpha = 2.0 if opts["alpha"] is None else float(opts["alpha"])
-        k = 1 if opts["k"] is None else int(opts["k"])
-        q = 1.5 if opts["q"] is None else float(opts["q"])
-        j_max = 1024 if opts["j_max"] is None else int(opts["j_max"])
-        seq = outlier_ratio_sequence(beta, alpha, k, q, j_max=j_max)
+        rows, footer, ok = [payload], (), payload["match"]
+    else:
+        beta, alpha, k, q = par["beta"], par["alpha"], par["k"], par["q"]
+        seq = outlier_ratio_sequence(beta, alpha, k, q, j_max=par["j_max"])
         m = k * (alpha - beta)
         rows = []
         for j, ratio in seq:
@@ -400,25 +399,16 @@ def cmd_tightness(args):
                                  [r["ratio"] for r in tail])
         predicted = decay_exponent(beta, alpha, k, q)
         rel_dev = abs(slope - predicted) / abs(predicted)
+        ok = rel_dev <= SLOPE_TOL
         payload = {"rows": rows, "fitted_slope": slope,
                    "predicted_slope": predicted, "rel_dev": rel_dev,
-                   "within": rel_dev <= SLOPE_TOL}
+                   "within": ok}
         footer = [
             f"fitted slope {fmt(slope)} against predicted {fmt(predicted)} "
             f"(relative deviation {fmt(rel_dev)})"
         ]
-        emit(render(opts["format"], payload, rows, footer), opts["out"])
-        return EXIT_OK if payload["within"] else EXIT_VIOLATION
-    raise InvalidParameterError(
-        f"--construction must be two_point, three_point, or outlier, got {kind!r}"
-    )
-
-
-SWEEP_DEFAULTS = {
-    "mode": None, "function": None, "dist": None, "grid": None,
-    "alpha": 2.0, "n": 2.0, "seed": None, "samples": None,
-    "format": "table", "out": None,
-}
+    emit(opts, payload, rows, footer)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _parse_grid(text):
@@ -430,17 +420,14 @@ def _parse_grid(text):
 
 
 def cmd_sweep(args):
-    opts = merged_options(args, SWEEP_DEFAULTS)
+    opts = merged_options(args)
     mode = opts["mode"]
     if mode not in ("two_point", "mean_of_n"):
         raise InvalidParameterError(
             f"--mode must be two_point or mean_of_n, got {mode!r}"
         )
-    if opts["function"] is None:
-        f = function_from_dict({"kind": "cos", "mu": 0.0})
-    else:
-        f = function_from_dict(_load_json_arg(opts["function"], "function"))
-    alpha, n = float(opts["alpha"]), float(opts["n"])
+    f = function_from_dict(_load_json_arg(opts["function"], "function"))
+    alpha, n = opts["alpha"], opts["n"]
 
     if mode == "two_point":
         sigmas = _parse_grid(opts["grid"] or "0.4,0.2,0.1,0.05")
@@ -449,26 +436,86 @@ def cmd_sweep(args):
         # whole numbers only: mean_of_n_sweep rejects 4.5 rather than
         # truncating it
         ns = _parse_grid(opts["grid"] or "4,16,64,256")
-        if opts["dist"] is None:
-            base = distribution_from_dict(
-                {"variant": "uniform", "lo": -1.0, "hi": 1.0}
-            )
-        else:
-            base = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
-        samples = 100_000 if opts["samples"] is None else int(opts["samples"])
+        base = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
         result = mean_of_n_sweep(
             f, base, ns, alpha=alpha, n_growth=n,
-            samples=samples, seed=opts["seed"],
+            samples=opts["samples"], seed=opts["seed"],
         )
 
     rows = [dict(r, gap_slope=result["gap_slope"]) for r in result["rows"]]
     footer = [f"fitted log-log gap slope {fmt(result['gap_slope'])}"]
-    emit(render(opts["format"], result, rows, footer), opts["out"])
+    emit(opts, result, rows, footer)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# every option's flag type, choices, metavar and help; argparse leaves each
+# unset flag None, so merged_options can tell an explicit flag from a default
+OPTIONS = {
+    "function": dict(metavar="FILE|JSON",
+                     help="function descriptor, inline JSON or a file path"),
+    "dist": dict(metavar="FILE|JSON",
+                 help="distribution descriptor, inline JSON or a file path"),
+    "seed": dict(type=int, help="RNG seed (falls back to JGB_SEED, then 0)"),
+    "samples": dict(type=int,
+                    help="Monte Carlo sample count (exact sums, closed forms "
+                         "and quadrature ignore it)"),
+    "kind": dict(choices=_BOUND_KINDS),
+    "mode": dict(choices=("two_point", "mean_of_n")),
+    "construction": dict(choices=tuple(_CONSTRUCTIONS)),
+    "grid": dict(help="comma-separated sigma grid or N grid"),
+    "alpha": dict(type=float),
+    "n": dict(type=float),
+    "beta": dict(type=float),
+    "sigma": dict(type=float, help="two_point spread"),
+    "p": dict(type=float, help="three_point moving mass"),
+    "sigma_n": dict(type=float, help="three_point fixed top moment"),
+    "k": dict(type=int),
+    "q": dict(type=float),
+    "j_max": dict(type=int,
+                  help="largest outlier position (powers of 2 up to this)"),
+    "terms": dict(metavar="JSON", help="comparison terms for the general "
+                                       "kinds: [[exponent, weight], ...]"),
+    "sign": dict(choices=("auto", GAP_ABOVE, GAP_BELOW),
+                 help="which side of f(mu) the gap sits on (lower bounds)"),
+    "shift": dict(metavar="auto|none|SLOPE",
+                  help="linear slope removed before the envelope (default auto)"),
+    "nodes": dict(type=int,
+                  help="quadrature budget: integrand evaluations per integral "
+                       f"(default {DEFAULT_NODES}, at least {MIN_NODES})"),
+    "format": dict(choices=("json", "csv", "table"),
+                   help="output format (default table)"),
+    "out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
+    "config": dict(metavar="FILE",
+                   help="JSON file of option defaults; explicit flags win"),
+}
+
+_DATA = {"function": None, "dist": None, "seed": None, "samples": None}
+_OUTPUT = {"format": "table", "out": None}
+
+# each subcommand's handler, help, and options (in --help order) with their
+# defaults; every subcommand also takes --config
+COMMANDS = {
+    "bound": (cmd_bound,
+              "compute a bound, estimate the gap, and verify the sandwich",
+              {**_DATA, "kind": None, "alpha": None, "n": None, "beta": None,
+               "k": None, "q": None, "terms": None, "sign": "auto",
+               "shift": "auto", "nodes": None, **_OUTPUT}),
+    "oracle": (cmd_oracle, "estimate the gap directly",
+               {**_DATA, "nodes": None, **_OUTPUT}),
+    "examples": (cmd_examples, "reproduce the reference constants", _OUTPUT),
+    "tightness": (cmd_tightness, "run a sharpness construction", {
+        **dict.fromkeys(("construction", "alpha", "n", "beta", "sigma", "p",
+                         "sigma_n", "k", "q", "j_max")), **_OUTPUT}),
+    "sweep": (cmd_sweep, "sweep spread or sample count", {
+        "mode": None, "grid": None, "alpha": 2.0, "n": 2.0,
+        "function": '{"kind": "cos", "mu": 0.0}',
+        "dist": '{"variant": "uniform", "lo": -1.0, "hi": 1.0}',
+        "seed": None, "samples": DEFAULT_MOMENT_SAMPLES, **_OUTPUT}),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for bound
@@ -479,98 +526,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(p):
-    p.add_argument("--format", choices=("json", "csv", "table"), default=None,
-                   help="output format (default table)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write output to PATH instead of stdout")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="JSON file of option defaults; explicit flags win")
-
-
-def _add_data_flags(p):
-    p.add_argument("--function", default=None, metavar="FILE|JSON",
-                   help="function descriptor, inline JSON or a file path")
-    p.add_argument("--dist", default=None, metavar="FILE|JSON",
-                   help="distribution descriptor, inline JSON or a file path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (falls back to JGB_SEED, then 0)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="Monte Carlo sample count (exact sums, closed forms "
-                        "and quadrature ignore it)")
-
-
-def _add_nodes_flag(p):
-    p.add_argument("--nodes", type=int, default=None,
-                   help="quadrature budget: integrand evaluations per integral "
-                        f"(default {DEFAULT_NODES}, at least {MIN_NODES})")
-
-
 def build_parser():
     parser = _Parser(prog="jensengap",
                      description="Moment bounds on the Jensen gap, verified "
                                  "against a direct gap estimate.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="compute a bound, estimate the gap, "
-                       "and verify the sandwich")
-    _add_data_flags(p)
-    p.add_argument("--kind", default=None, choices=_BOUND_KINDS)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--terms", default=None, metavar="JSON",
-                   help="comparison terms for the general kinds: [[exponent, weight], ...]")
-    p.add_argument("--sign", default=None,
-                   choices=("auto", GAP_ABOVE, GAP_BELOW),
-                   help="which side of f(mu) the gap sits on (lower bounds)")
-    p.add_argument("--shift", default=None, metavar="auto|none|SLOPE",
-                   help="linear slope removed before the envelope (default auto)")
-    _add_nodes_flag(p)
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_bound)
-
-    p = sub.add_parser("oracle", help="estimate the gap directly")
-    _add_data_flags(p)
-    _add_nodes_flag(p)
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_oracle)
-
-    p = sub.add_parser("examples", help="reproduce the reference constants")
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_examples)
-
-    p = sub.add_parser("tightness", help="run a sharpness construction")
-    p.add_argument("--construction", default=None,
-                   choices=("two_point", "three_point", "outlier"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None,
-                   help="two_point spread")
-    p.add_argument("--p", type=float, default=None,
-                   help="three_point moving mass")
-    p.add_argument("--sigma-n", dest="sigma_n", type=float, default=None,
-                   help="three_point fixed top moment")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--j-max", dest="j_max", type=int, default=None,
-                   help="largest outlier position (powers of 2 up to this)")
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_tightness)
-
-    p = sub.add_parser("sweep", help="sweep spread or sample count")
-    p.add_argument("--mode", default=None, choices=("two_point", "mean_of_n"))
-    p.add_argument("--grid", default=None,
-                   help="comma-separated sigma grid or N grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n", type=float, default=None)
-    _add_data_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_sweep)
-
+    for name, (handler, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_options(p, [*defaults, "config"])
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -303,9 +303,18 @@ class Distribution(ABC):
         out = {}
         for p in orders:
             p = _check_order(p)
-            if p not in out:
-                out[p] = (_moment(0.0, 1.0, "closed_form", 0.0) if p == 0
+            if p in out:
+                continue
+            try:
+                moment = (_moment(0.0, 1.0, "closed_form", 0.0) if p == 0
                           else self._moment_pow(p, method, nodes, draws))
+            except OverflowError:
+                moment = None
+            if moment is None or not math.isfinite(moment.sigma_p_pow):
+                raise EvaluationError(
+                    f"the order-{p:g} absolute central moment of this "
+                    f"{self.variant} distribution overflows a double")
+            out[p] = moment
         return out
 
     @abstractmethod
@@ -554,8 +563,8 @@ class Gaussian(_NamedContinuous):
     variant = "gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_value) and self.stddev > 0):
-            raise InvalidParameterError("gaussian needs a finite mean and stddev > 0")
+        if not (math.isfinite(self.mean_value) and 0 < self.stddev < math.inf):
+            raise InvalidParameterError("gaussian needs a finite mean and finite stddev > 0")
 
     def mean(self):
         return self.mean_value
@@ -597,8 +606,8 @@ class Laplace(_NamedContinuous):
     variant = "laplace"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_value) and self.scale > 0):
-            raise InvalidParameterError("laplace needs a finite mean and scale > 0")
+        if not (math.isfinite(self.mean_value) and 0 < self.scale < math.inf):
+            raise InvalidParameterError("laplace needs a finite mean and finite scale > 0")
 
     def mean(self):
         return self.mean_value
@@ -646,9 +655,6 @@ class Uniform(_NamedContinuous):
 
     def _scale(self):
         return 0.5 * (self.hi - self.lo)
-
-    def _log_tail_mass(self, t_offset):
-        return -math.inf if t_offset >= self._scale() else 0.0
 
     def _log_abs_moment_pow(self, p):
         # |X - mean| is uniform on [0, half-width]

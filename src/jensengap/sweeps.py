@@ -10,7 +10,9 @@ rows suitable for CSV and a fitted log-log slope.
 import numpy as np
 
 from .bounds import upper_bound
-from .distributions import Distribution, check_count, mean_of_n, two_point
+from .distributions import (
+    DEFAULT_MOMENT_SAMPLES, Distribution, check_count, mean_of_n, two_point,
+)
 from .envelope import sup_ratio_upper
 from .errors import InvalidParameterError
 from .functions import FunctionSpec
@@ -78,7 +80,8 @@ def two_point_sweep(f: FunctionSpec, sigmas, *, alpha=2.0, n=2.0, seed=None):
 
 
 def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
-                    alpha=2.0, n_growth=2.0, samples=100_000, seed=None):
+                    alpha=2.0, n_growth=2.0,
+                    samples=DEFAULT_MOMENT_SAMPLES, seed=None):
     """Gap of f at the mean of N draws from base, across an N grid.
 
     |J| tracks the variance of the sample mean, so the fitted slope of
@@ -106,9 +109,6 @@ def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
             "gap_error": gap.abs_error,
             "upper": report.value,
         })
-    gaps = [abs(r["gap"]) for r in rows]
-    if all(g == 0.0 for g in gaps):
-        slope = 0.0
-    else:
-        slope = fit_loglog_slope([r["n"] for r in rows], gaps)
+    slope = fit_loglog_slope([r["n"] for r in rows],
+                             [abs(r["gap"]) for r in rows])
     return {"rows": rows, "gap_slope": slope, "envelope": M.to_dict()}

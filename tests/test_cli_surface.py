@@ -71,3 +71,80 @@ def test_config_with_every_option_matches_flags(tmp_path, capsys, command):
     assert capsys.readouterr().out == ""
     assert code_flags == code_config == 0
     assert by_config.read_text() == by_flags.read_text()
+
+
+@pytest.mark.parametrize("command, config, flag", [
+    ("examples", {"format": "xml"}, "--format"),
+    ("oracle", {"function": COS, "dist": LAPLACE, "samples": 2.5}, "--samples"),
+    ("tightness", {"construction": "outlier", "k": 1.5}, "--k"),
+    ("bound", {"kind": "bogus"}, "--kind"),
+])
+def test_config_value_outside_its_flag_is_input_error(tmp_path, capsys,
+                                                      command, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert flag in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, as_text, as_value", [
+    ("oracle", {"function": COS, "dist": LAPLACE},
+     {"function": json.loads(COS), "dist": json.loads(LAPLACE)}),
+    ("bound", {"kind": "general_upper", "terms": "[[2, 1], [4, 0.5]]"},
+     {"kind": "general_upper", "terms": [[2, 1], [4, 0.5]]}),
+    # a whole-number float reads as the int its flag takes
+    ("bound", {"kind": "holder", "alpha": 2, "beta": 2, "k": 1, "q": 2},
+     {"kind": "holder", "alpha": 2.0, "beta": 2.0, "k": 1.0, "q": 2.0}),
+])
+def test_config_json_values_match_their_text(tmp_path, capsys, command,
+                                             as_text, as_value):
+    data = {"function": SQUARE, "dist": LAPLACE, "seed": 11, "format": "json"}
+    outputs = []
+    for config in (as_text, as_value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**data, **config}))
+        code = cli.main([command, "--config", str(cfg)])
+        outputs.append(capsys.readouterr().out)
+        assert code == 0
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("oracle", {"function": COS, "dist": LAPLACE, "seed": None,
+                "samples": None, "format": "json"}),
+    ("sweep", {"mode": "two_point", "alpha": None, "n": None,
+               "format": "json"}),
+])
+def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
+                                 config):
+    monkeypatch.setenv("JGB_SEED", "7")
+    outputs = []
+    for cfg_doc in (config, {k: v for k, v in config.items() if v is not None}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        code = cli.main([command, "--config", str(cfg)])
+        outputs.append(capsys.readouterr().out)
+        assert code == 0
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, words", [
+    # the second moment of stddev 1e300 overflows a double
+    (["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
+      "--function", COS,
+      "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1e300}'],
+     "order-2"),
+    (["bound", "--kind", "holder", "--alpha", "2", "--beta", "2", "--k", "1",
+      "--q", "2.5", "--function", SQUARE, "--dist", LAPLACE], "q must be"),
+], ids=["overflowing_moment", "fractional_q"])
+def test_typed_error_without_traceback(capsys, argv, words):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert words in captured.err
+    assert "Traceback" not in captured.err

@@ -407,6 +407,31 @@ def test_constructor_rejections():
         Gaussian(0.0, -1.0)
 
 
+@pytest.mark.parametrize("direct, descriptor", [
+    (lambda: Gaussian(0.0, math.inf),
+     {"variant": "gaussian", "mean": 0, "stddev": math.inf}),
+    (lambda: Laplace(0.0, math.inf),
+     {"variant": "laplace", "mean": 0, "scale": math.inf}),
+], ids=["gaussian", "laplace"])
+def test_infinite_spread_rejected(direct, descriptor):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        direct()
+    with pytest.raises(InvalidParameterError, match="finite"):
+        distribution_from_dict(descriptor)
+
+
+@pytest.mark.parametrize("dist, order, variant", [
+    (Laplace(0.0, 1.0), 200, "laplace"),
+    (two_point(0.0, 1e200), 2, "discrete"),
+    (Empirical((0.0, 1e200)), 2, "empirical"),
+    (mean_of_n(two_point(0.0, 1e200), 4), 2, "mean_of_n"),
+    (Gaussian(0.0, 1e300), 2, "gaussian"),
+], ids=["laplace", "two_point", "empirical", "mean_of_n", "gaussian"])
+def test_overflowing_moment_is_evaluation_error(dist, order, variant):
+    with pytest.raises(EvaluationError, match=f"order-{order} .*{variant}"):
+        dist.abs_central_moment(order)
+
+
 def test_from_dict_round_trip():
     cases = (
         two_point(0.25, 1.5),
