@@ -422,7 +422,7 @@ def _parse_grid(text):
 def cmd_sweep(args):
     opts = merged_options(args)
     mode = opts["mode"]
-    if mode not in ("two_point", "mean_of_n"):
+    if mode not in OPTIONS["mode"]["choices"]:
         raise InvalidParameterError(
             f"--mode must be two_point or mean_of_n, got {mode!r}"
         )

@@ -291,7 +291,8 @@ class Distribution(ABC):
 
         Orders that take the Monte Carlo route share one batch of draws
         (purpose "moments"), drawn at most once per call, so empirical
-        moment inequalities hold exactly between the estimates.
+        moment inequalities hold exactly between the estimates.  A moment
+        that overflows a double raises EvaluationError.
         """
         batch = []
 
