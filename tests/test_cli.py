@@ -152,6 +152,41 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out.splitlines()[1].startswith("upper,0.724611354")
 
 
+def test_descriptor_file_path_matches_inline(tmp_path, capsys):
+    fn, dist = tmp_path / "f.json", tmp_path / "d.json"
+    fn.write_text(COS)
+    dist.write_text(PAIR)
+    base = ["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
+            "--format", "json"]
+    _, inline = run([*base, "--function", COS, "--dist", PAIR], capsys)
+    code, from_file = run([*base, "--function", str(fn), "--dist", str(dist)],
+                          capsys)
+    assert code == 0
+    assert from_file == inline
+
+
+SINE = '{"kind": "sin", "mu": 0}'
+
+
+def test_shift_number_and_none(capsys):
+    base = ["bound", "--kind", "upper", "--n", "2", "--function", SINE,
+            "--dist", PAIR, "--format", "json"]
+    # sin declares slope 1 at 0, so --shift 1 is what auto removes
+    _, auto = run([*base, "--alpha", "2"], capsys)
+    code, one = run([*base, "--alpha", "2", "--shift", "1"], capsys)
+    assert code == 0
+    assert one == auto
+    # unshifted, sin is linear at the mean: no alpha = 2 constant exists
+    code, _ = run([*base, "--alpha", "2", "--shift", "none"], capsys)
+    assert code == 1
+    # slope 0 removes nothing, so it is the same as none
+    _, none = run([*base, "--alpha", "1", "--shift", "none"], capsys)
+    code, zero = run([*base, "--alpha", "1", "--shift", "0"], capsys)
+    assert code == 0
+    assert zero == none
+    assert json.loads(none)["report"]["f_label"] == "sin"
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "upper", "alhpa": 2.0}))

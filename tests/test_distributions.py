@@ -379,6 +379,15 @@ def test_empirical_exact():
         (1.5 + 0.5 + 0.5 + 2.5) / 4.0)
 
 
+def test_empirical_expect_is_exact_sum():
+    samples = (0.5, -1.0, 2.0, 0.25)
+    est = Empirical(samples).expect(np.cos)
+    assert est.value == math.fsum(math.cos(v) for v in samples) / 4
+    assert est.abs_error == 0.0
+    assert est.method == "exact_sum"
+    assert est.count == 4
+
+
 def test_expectation_of_function_exact_sum():
     dist = two_point(0.0, 0.5)
     est = dist.expect(lambda x: np.cos(x))

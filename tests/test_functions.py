@@ -128,6 +128,14 @@ def test_select_shift_slope_kink_midpoint():
     assert abs(select_shift_slope(vee)) < 1e-6
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_select_shift_slope_one_sided_at_domain_end(domain):
+    # only one side of mu lies in the domain: a one-sided pair, refined
+    cubic = custom_function(lambda x: np.asarray(x) ** 3 + 2.0 * np.asarray(x),
+                            0.0, domain=domain)
+    assert select_shift_slope(cubic) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_function_dict_round_trip():
     f = make_function("abs_power_sum", 0.5, alpha=1.5, n=3.0)
     g = function_from_dict(f.to_dict())

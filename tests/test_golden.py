@@ -29,6 +29,9 @@ AVG_256 = ('{"variant": "mean_of_n", "base": {"variant": "uniform", '
            '"lo": -1, "hi": 1}, "n": 256}')
 
 NEG_SQUARE = '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, -1]}'
+COS_AT_02 = '{"kind": "cos", "mu": 0.2}'
+# the value 0.1 is drawn twice: five draws, four distinct atoms
+EMPIRICAL = '{"variant": "empirical", "samples": [0.1, -0.4, 0.1, 0.9, 0.3]}'
 
 SEED = ["--seed", "11"]
 
@@ -43,6 +46,18 @@ CASES = {
     "bound_holder_single": ["bound", "--kind", "holder_single", "--alpha", "2",
                             "--beta", "2", "--k", "1",
                             "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    # q = k+1 = 6 through holder_single, and a proper divisor q = 3 of 6
+    "bound_holder_single_k5": ["bound", "--kind", "holder_single",
+                               "--alpha", "2", "--beta", "1.5", "--k", "5",
+                               "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    "bound_holder_k5_q3": ["bound", "--kind", "holder", "--alpha", "2",
+                           "--beta", "1.5", "--k", "5", "--q", "3",
+                           "--function", SQUARE, "--dist", LAPLACE, *SEED],
+    "oracle_empirical": ["oracle", "--function", COS_AT_02,
+                         "--dist", EMPIRICAL, *SEED],
+    "bound_upper_empirical": ["bound", "--kind", "upper", "--alpha", "2",
+                              "--n", "2", "--function", COS_AT_02,
+                              "--dist", EMPIRICAL, *SEED],
     "bound_variance": ["bound", "--kind", "variance",
                        "--function", COS, "--dist", UNIFORM, *SEED],
     "bound_variance_pow4": ["bound", "--kind", "variance",

@@ -156,6 +156,25 @@ def test_verify_lower_respects_sign():
     assert out.verdict == "pass"
 
 
+def test_verify_lower_fail_and_inconclusive():
+    f = make_function("cos", 0.0)
+    gap = jensen_gap(f, two_point(0.0, 1.0))
+
+    def lower(value, uncertainty):
+        return BoundReport(kind="lower_cauchy_schwarz", value=value, mu=0.0,
+                           envelope=None, moments_used=(),
+                           params=(("sign", GAP_BELOW),), valid=True,
+                           uncertainty=uncertainty)
+
+    deficit = -gap.value
+    out = verify(lower(deficit + 0.1, 0.0), gap)
+    assert out.verdict == "fail"
+    assert out.margin == pytest.approx(0.1)
+    out = verify(lower(deficit, 0.05), gap)
+    assert out.verdict == "inconclusive"
+    assert out.margin == pytest.approx(0.1)
+
+
 def test_verify_interval_containment():
     f = make_function("cos", 0.0)
     dist = two_point(0.0, 1.0)
