@@ -17,7 +17,7 @@ below, with m_0 = 1 by the |t|^0 = 1 convention.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .distributions import (
     DEFAULT_MOMENT_SAMPLES,
@@ -222,6 +222,16 @@ def valid_holder_q(k):
     return [q for q in range(2, k + 2) if (k + 1) % q == 0]
 
 
+def check_holder_split(k, q):
+    """(k, q) as ints; InvalidParameterError unless q >= 2 divides k+1."""
+    k = _check_k(k)
+    if not _is_whole(q) or q < 2 or (k + 1) % int(q) != 0:
+        raise InvalidParameterError(
+            f"q must be a divisor of k+1 = {k + 1} with q >= 2, got {q!r}"
+        )
+    return k, int(q)
+
+
 def _is_whole(x):
     return math.isfinite(x) and int(x) == x
 
@@ -251,12 +261,7 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
     """
     alpha = float(alpha)
     beta = float(beta)
-    k = _check_k(k)
-    if not _is_whole(q) or q < 2 or (k + 1) % int(q) != 0:
-        raise InvalidParameterError(
-            f"q must be a divisor of k+1 = {k + 1} with q >= 2, got {q!r}"
-        )
-    q = int(q)
+    k, q = check_holder_split(k, q)
     sign = _lower_sign(M, alpha, beta)
     p = q / (q - 1.0)
     diff = alpha - beta
@@ -273,19 +278,11 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
 def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
                               samples=DEFAULT_MOMENT_SAMPLES,
                               nodes=DEFAULT_NODES):
-    """The q = k+1 specialization: one numerator moment, k-th root denominator."""
-    alpha = float(alpha)
-    beta = float(beta)
+    """The q = k+1 case of ``lower_bound_holder``: one numerator moment."""
     k = _check_k(k)
-    sign = _lower_sign(M, alpha, beta)
-    return _power_sum_bound(
-        "lower_holder_single", M, dist,
-        (("alpha", alpha), ("beta", beta), ("k", k), ("q", k + 1),
-         ("p", 1.0 + 1.0 / k), ("sign", sign)),
-        [(1, alpha * k / (k + 1.0))], (k + 1.0) / k,
-        _binomial_terms(k, 0.0, alpha - beta), 1.0 / k,
-        dict(seed=seed, samples=samples, nodes=nodes),
-    )
+    report = lower_bound_holder(M, dist, alpha, beta, k, k + 1, seed=seed,
+                                samples=samples, nodes=nodes)
+    return replace(report, kind="lower_holder_single")
 
 
 def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,

@@ -234,17 +234,15 @@ _BOUND_KINDS = (
 def _need(opts, *names):
     missing = [m for m in names if opts[m] is None]
     if missing:
+        who = f"--kind {opts['kind']}" if opts.get("kind") else "this command"
         raise InvalidParameterError(
-            f"--kind {opts['kind']} needs " + ", ".join(f"--{m}" for m in missing)
+            f"{who} needs " + ", ".join(f"--{m}" for m in missing)
         )
 
 
 def cmd_bound(args):
     opts = merged_options(args)
-    if opts["kind"] not in _BOUND_KINDS:
-        raise InvalidParameterError(
-            f"--kind must be one of {', '.join(_BOUND_KINDS)}, got {opts['kind']!r}"
-        )
+    _need(opts, "kind")
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
     kw = _moment_kw(opts)
@@ -271,6 +269,7 @@ def cmd_bound(args):
                     f"--kind holder needs --q; valid choices for k={k}: "
                     f"{bounds.valid_holder_q(k)}"
                 )
+            bounds.check_holder_split(k, opts["q"])
             M = _signed(lower, opts["sign"])
             report = bounds.lower_bound_holder(M, dist, alpha, beta, k,
                                                opts["q"], **kw)
@@ -363,11 +362,8 @@ _CONSTRUCTIONS = {
 
 def cmd_tightness(args):
     opts = merged_options(args)
+    _need(opts, "construction")
     kind = opts["construction"]
-    if kind not in _CONSTRUCTIONS:
-        raise InvalidParameterError(
-            f"--construction must be two_point, three_point, or outlier, got {kind!r}"
-        )
     par = {**_CONSTRUCTIONS[kind],
            **{key: value for key, value in opts.items() if value is not None}}
     if kind == "two_point":
@@ -421,11 +417,8 @@ def _parse_grid(text):
 
 def cmd_sweep(args):
     opts = merged_options(args)
+    _need(opts, "mode")
     mode = opts["mode"]
-    if mode not in OPTIONS["mode"]["choices"]:
-        raise InvalidParameterError(
-            f"--mode must be two_point or mean_of_n, got {mode!r}"
-        )
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     alpha, n = opts["alpha"], opts["n"]
 

@@ -28,13 +28,14 @@ bound on the truncated tail), Monte Carlo for means of other bases.
 import math
 import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, InvalidParameterError
-from .functions import Interval
+from .functions import _NUMBER, _NUMBERS, Interval, _read_fields
 from .rng import resolve_seed, stream
 
 PROB_SUM_TOL = 1e-12
@@ -311,7 +312,8 @@ class Distribution(ABC):
                           else self._moment_pow(p, method, nodes, draws))
             except OverflowError:
                 moment = None
-            if moment is None or not math.isfinite(moment.sigma_p_pow):
+            if moment is None or not (math.isfinite(moment.sigma_p_pow)
+                                      and math.isfinite(moment.abs_error_estimate)):
                 raise EvaluationError(
                     f"the order-{p:g} absolute central moment of this "
                     f"{self.variant} distribution overflows a double")
@@ -328,10 +330,23 @@ class Distribution(ABC):
         """[E(X - mu)^j for j = 0..p] for an integer p, exact to rounding."""
 
     def _moment_monte_carlo(self, p, draws):
-        powed = np.abs(draws() - self.mean()) ** p
-        est = float(np.mean(powed))
-        err = CLT_FACTOR * float(np.std(powed)) / math.sqrt(len(powed))
+        with np.errstate(over="ignore"):  # an overflow is caught as inf
+            powed = np.abs(draws() - self.mean()) ** p
+        est, err = _monte_carlo(powed)
         return _moment(p, est, "monte_carlo", err)
+
+
+def _monte_carlo(vals):
+    """The mean of ``vals`` and its CLT radius.  When the squares of the
+    deviations overflow a double, the spread is taken of the values scaled
+    by their largest magnitude, so a finite mean has a finite radius."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = float(np.mean(vals))
+        spread = float(np.std(vals))
+    if math.isfinite(est) and not math.isfinite(spread):
+        top = float(np.max(np.abs(vals)))
+        spread = top * float(np.std(vals / top))
+    return est, CLT_FACTOR * spread / math.sqrt(len(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +416,11 @@ class Discrete(Distribution):
 
 
 @dataclass(frozen=True)
-class Empirical(Distribution):
-    """Uniform weight on an observed sample; moments are plug-in sums."""
+class Empirical(Discrete):
+    """Uniform weight on an observed sample: the discrete law whose atoms are
+    the distinct sample values, each weighted by its share of the sample."""
 
+    points: tuple = field(init=False, repr=False)
     samples: tuple
 
     variant = "empirical"
@@ -415,36 +432,16 @@ class Empirical(Distribution):
         if not all(math.isfinite(v) for v in vals):
             raise InvalidParameterError("samples must be finite")
         object.__setattr__(self, "samples", vals)
+        counts = Counter(vals)
+        object.__setattr__(self, "points", tuple((x, c / len(vals)) for x, c in counts.items()))
+        super().__post_init__()
 
     def mean(self):
         return math.fsum(self.samples) / len(self.samples)
 
-    def support_interval(self):
-        return Interval(min(self.samples), max(self.samples))
-
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
         return rng.choice(np.asarray(self.samples), size=int(count))
-
-    def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
-        vals = _apply(g, np.asarray(self.samples))
-        total = math.fsum(vals) / len(self.samples)
-        return Expectation(total, 0.0, "exact_sum", len(self.samples))
-
-    def _moment_pow(self, p, method, nodes, draws):
-        if method == "monte_carlo":
-            return self._moment_monte_carlo(p, draws)
-        if method not in ("auto", "exact_sum"):
-            raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
-        mu = self.mean()
-        pow_value = math.fsum(abs(v - mu) ** p for v in self.samples) / len(self.samples)
-        return _moment(p, pow_value, "exact_sum", 0.0)
-
-    def _central_moments(self, p):
-        mu = self.mean()
-        return _central_list(p, lambda j: math.fsum((v - mu) ** j for v in self.samples)
-                             / len(self.samples))
 
     def to_dict(self):
         return {"variant": "empirical", "samples": list(self.samples)}
@@ -457,10 +454,13 @@ class _NamedContinuous(Distribution):
     """Shared quadrature machinery: estimated rule error, rigorous tail bound.
 
     The named families are symmetric about their mean; ``MeanOfN`` reuses
-    the machinery for the mean of n Laplace draws.
+    the machinery for the mean of n Laplace or uniform draws.  Each family
+    gives its density and a bound on the density mass it misses, which is 0
+    unless the density is itself approximated.
 
-    The integral E[g(X)] is taken over [mean - T, mean + T] by adaptive
-    Gauss-Kronrod quadrature, whose error is an estimate, not a bound.  T
+    A bounded support is integrated in one pass of adaptive Gauss-Kronrod
+    quadrature.  Otherwise E[g(X)] is taken over [mean - T, mean + T] by the
+    same quadrature, whose error is an estimate, not a bound.  T
     runs through 12 scale, 12 scale * 1.6, ... and the first T whose
     analytic bound on the discarded tail is at most TAIL_REL_TOL of the
     integral is kept.  The tail bound needs no quadrature, so T is chosen
@@ -477,8 +477,10 @@ class _NamedContinuous(Distribution):
     def _scale(self):
         raise NotImplementedError
 
-    def _pdf(self, x):
-        raise NotImplementedError
+    def _density(self):
+        """(density, bound on the density mass it misses): the family's
+        exact ``_pdf`` unless the family says otherwise."""
+        return self._pdf, 0.0
 
     def _log_tail_mass(self, t_offset):
         """log P(|X - mean| > t_offset)."""
@@ -513,8 +515,24 @@ class _NamedContinuous(Distribution):
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, growth_hint=None):
         mu = self.mean()
+        pdf, missed = self._density()
+        peak = 0.0
+
+        def integrand(xs):
+            nonlocal peak
+            vals = _apply(g, xs)
+            if missed:
+                peak = max(peak, float(np.max(np.abs(vals))))
+            return vals * pdf(xs)
+
+        support = self.support_interval()
+        if math.isfinite(support.lo) and math.isfinite(support.hi):
+            # no tail; the density is off by at most ``missed`` / width, so
+            # the integral moves by at most missed times the largest |g| seen
+            value, quad_err, evals = _gauss_kronrod(
+                integrand, support.lo, mu, support.hi, nodes)
+            return Expectation(value, quad_err + missed * peak, "quadrature", evals)
         t_offset = 12.0 * self._scale()
-        integrand = lambda xs: _apply(g, xs) * self._pdf(xs)
         log_skip = math.inf  # a radius whose log tail bound exceeds this cannot pass
         for i in range(16):
             log_tail = self._log_tail_bound(g, t_offset, growth_hint)
@@ -657,17 +675,12 @@ class Uniform(_NamedContinuous):
     def _scale(self):
         return 0.5 * (self.hi - self.lo)
 
+    def _pdf(self, x):
+        return 1.0 / (self.hi - self.lo)
+
     def _log_abs_moment_pow(self, p):
         # |X - mean| is uniform on [0, half-width]
         return p * math.log(self._scale()) - math.log1p(p)
-
-    def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
-        # bounded support: the whole integral is quadrature, with no tail
-        w = 1.0 / (self.hi - self.lo)
-        value, quad_err, evals = _gauss_kronrod(
-            lambda xs: _apply(g, xs) * w, self.lo, self.mean(), self.hi, nodes)
-        return Expectation(value, quad_err, "quadrature", evals)
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
@@ -747,15 +760,10 @@ class MeanOfN(_NamedContinuous):
                seed=None, growth_hint=None):
         if isinstance(self.base, Gaussian):
             return self._gaussian().expect(g, nodes=nodes, growth_hint=growth_hint)
-        if isinstance(self.base, Laplace):
+        if self._has_density():
             return super().expect(g, nodes=nodes, growth_hint=growth_hint)
-        if isinstance(self.base, Uniform):
-            return self._expect_uniform_mean(g, nodes)
-        draws = self.sample(int(samples), seed, purpose="gap")
-        vals = _apply(g, draws)
-        est = float(np.mean(vals))
-        err = CLT_FACTOR * float(np.std(vals)) / math.sqrt(len(vals))
-        return Expectation(est, err, "monte_carlo", len(vals))
+        vals = _apply(g, self.sample(int(samples), seed, purpose="gap"))
+        return Expectation(*_monte_carlo(vals), "monte_carlo", len(vals))
 
     def _moment_pow(self, p, method, nodes, draws):
         if method in ("auto", "closed_form") and p % 2 == 0 and p <= MAX_SERIES_ORDER:
@@ -783,13 +791,18 @@ class MeanOfN(_NamedContinuous):
                 term = _binomial_convolve(term, term)
         return out
 
+    def _density(self):
+        if isinstance(self.base, Uniform):
+            return self._uniform_mean_pdf()
+        return self._laplace_mean_pdf(), 0.0
+
     # -- Laplace base: the hooks of the truncated quadrature ------------------
 
     def _scale(self):
         # the standard deviation of the mean; Laplace(m, b) has variance 2 b^2
         return self.base.scale * math.sqrt(2.0 / self.n)
 
-    def _pdf(self, x):
+    def _laplace_mean_pdf(self):
         # |S|/b for the centred sum S is Gamma(k+1) with probability
         # w_k = C(2n-2-k, n-1) / 2^(2n-2-k), k < n.  The weights follow from
         # their ratios, which are at most 1, and are normalized; those below
@@ -809,7 +822,7 @@ class MeanOfN(_NamedContinuous):
             top = terms.max(axis=0)
             return n / (2.0 * b) * np.exp(top - z) * np.exp(terms - top).sum(axis=0)
 
-        return _blockwise(mixture, x, k.size)
+        return lambda xs: _blockwise(mixture, xs, k.size)
 
     def _log_tail_mass(self, t_offset):
         # Chernoff: P(|S| > s) <= 2 e^(-l s) (1 - l^2 b^2)^(-n), at its best
@@ -826,23 +839,6 @@ class MeanOfN(_NamedContinuous):
         return min(p, 1.0) * self.base._log_abs_moment_pow(max(p, 1.0))
 
     # -- uniform base ---------------------------------------------------------
-
-    def _expect_uniform_mean(self, g, nodes):
-        """Bounded support: the whole integral is quadrature, with no tail."""
-        pdf, dropped = self._uniform_mean_pdf()
-        peak = 0.0
-
-        def integrand(xs):
-            nonlocal peak
-            vals = _apply(g, xs)
-            peak = max(peak, float(np.max(np.abs(vals))))
-            return vals * pdf(xs)
-
-        value, quad_err, evals = _gauss_kronrod(
-            integrand, self.base.lo, self.mean(), self.base.hi, nodes)
-        # the density error is at most ``dropped`` / width everywhere, so the
-        # integral moves by at most dropped times the largest |g| seen
-        return Expectation(value, quad_err + dropped * peak, "quadrature", evals)
 
     def _uniform_mean_pdf(self):
         """(density of the mean, bound on the density mass it misses)."""
@@ -916,10 +912,8 @@ def symmetric_outlier(j, m):
     """
     if not (j >= 1 and m > 0):
         raise InvalidParameterError(f"need j >= 1 and m > 0, got j={j}, m={m}")
-    weight = float(j) ** (-float(m))
-    if weight >= 1.0:
-        return two_point(0.0, float(j))
-    return Discrete(((-float(j), weight / 2.0), (0.0, 1.0 - weight), (float(j), weight / 2.0)))
+    j = float(j)
+    return three_point(0.0, j, j ** -float(m))
 
 
 def mean_of_n(base, n):
@@ -931,25 +925,24 @@ def distribution_from_dict(d):
     if not isinstance(d, dict) or "variant" not in d:
         raise InvalidParameterError("distribution descriptor must be an object with a 'variant' key")
     v = d["variant"]
-    try:
-        if v == "discrete":
-            return Discrete(tuple((float(x), float(q)) for x, q in d["points"]))
-        if v == "gaussian":
-            return Gaussian(float(d["mean"]), float(d["stddev"]))
-        if v == "laplace":
-            return Laplace(float(d["mean"]), float(d["scale"]))
-        if v == "uniform":
-            return Uniform(float(d["lo"]), float(d["hi"]))
-        if v == "empirical":
-            return Empirical(tuple(float(s) for s in d["samples"]))
-        if v == "mean_of_n":
-            return MeanOfN(distribution_from_dict(d["base"]), d["n"])
-        if v == "two_point":
-            return two_point(float(d["mu"]), float(d["sigma"]))
-        if v == "three_point":
-            return three_point(float(d["mu"]), float(d["a"]), float(d["p"]))
-        if v == "symmetric_outlier":
-            return symmetric_outlier(float(d["j"]), float(d["m"]))
-    except KeyError as exc:
-        raise InvalidParameterError(f"distribution descriptor for {v!r} is missing {exc}") from None
-    raise InvalidParameterError(f"unknown distribution variant {v!r}")
+    if v not in _VARIANTS:
+        raise InvalidParameterError(f"unknown distribution variant {v!r}")
+    make, fields = _VARIANTS[v]
+    return make(*_read_fields(d, f"distribution descriptor for {v!r}", "variant",
+                              fields).values())
+
+
+# each variant's constructor and its fields, in argument order
+_VARIANTS = {
+    "discrete": (Discrete, {"points": (
+        lambda v: tuple((float(x), float(q)) for x, q in v), "a list of [x, p] pairs")}),
+    "gaussian": (Gaussian, {"mean": _NUMBER, "stddev": _NUMBER}),
+    "laplace": (Laplace, {"mean": _NUMBER, "scale": _NUMBER}),
+    "uniform": (Uniform, {"lo": _NUMBER, "hi": _NUMBER}),
+    "empirical": (Empirical, {"samples": _NUMBERS}),
+    "mean_of_n": (MeanOfN, {"base": (distribution_from_dict, "a distribution descriptor"),
+                            "n": (lambda n: n, "a positive integer")}),
+    "two_point": (two_point, {"mu": _NUMBER, "sigma": _NUMBER}),
+    "three_point": (three_point, {"mu": _NUMBER, "a": _NUMBER, "p": _NUMBER}),
+    "symmetric_outlier": (symmetric_outlier, {"j": _NUMBER, "m": _NUMBER}),
+}

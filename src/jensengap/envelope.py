@@ -280,12 +280,8 @@ def _golden_lockstep(w_at, lo, hi):
 
 
 def _side_candidates(f, t_off, w, side_sign, unbounded):
-    """Limit and grid candidates of one side, plus the brackets to refine.
-
-    Brackets come back as (lo, hi, slot) in log-offset, where ``slot`` is the
-    place in the candidate list that the bracket's refined result takes, so
-    the list keeps the order in which ties are broken.
-    """
+    """Limit and grid candidates of one side, plus the brackets to refine,
+    as (lo, hi) in log-offset."""
     candidates = []
     brackets = []
     side_rank = 0 if side_sign > 0 else 1
@@ -335,8 +331,7 @@ def _side_candidates(f, t_off, w, side_sign, unbounded):
         lo = math.log(t_off[max(i - 1, 0)])
         hi = math.log(t_off[min(i + 1, len(w) - 1)])
         if hi - lo > 1e-12:
-            brackets.append((lo, hi, len(candidates)))
-            candidates.append(None)
+            brackets.append((lo, hi))
     return candidates, brackets
 
 
@@ -358,7 +353,7 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
     """
     candidates = [[] for _ in directions]
     probes = 0
-    # one row per bracket: (direction index, side sign, lo, hi, slot)
+    # one row per bracket: (direction index, side sign, lo, hi)
     brackets = []
     escape = None
 
@@ -391,11 +386,8 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
             found, side_brackets = _side_candidates(
                 f, t_off, direction * t_ratio, side_sign, unbounded
             )
-            base = len(candidates[k])
             candidates[k].extend(found)
-            brackets.extend(
-                (k, side_sign, lo, hi, base + slot) for lo, hi, slot in side_brackets
-            )
+            brackets.extend((k, side_sign, lo, hi) for lo, hi in side_brackets)
 
     if escape:
         error, reasons = _ESCAPES[screen]
@@ -412,7 +404,7 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
 
     refinements = [0] * len(directions)
     if brackets:
-        b_dir, b_sign, b_lo, b_hi, _ = (np.array(col) for col in zip(*brackets))
+        b_dir, b_sign, b_lo, b_hi = (np.array(col) for col in zip(*brackets))
         b_dir = np.asarray(directions, dtype=float)[b_dir]
 
         def w_at(idx, t):
@@ -423,17 +415,17 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
             return b_dir[idx] * ratio
 
         t_best, w_best, width, iters = _golden_lockstep(w_at, b_lo, b_hi)
-        for j, (k, side_sign, _, _, slot) in enumerate(brackets):
+        for j, (k, side_sign, _, _) in enumerate(brackets):
             refinements[k] += int(iters[j])
             off_best = math.exp(t_best[j])
-            candidates[k][slot] = _Candidate(
+            candidates[k].append(_Candidate(
                 float(w_best[j]),
                 off_best,
                 0 if side_sign > 0 else 1,
                 f.mu + side_sign * off_best,
                 INTERIOR,
                 float(width[j]),
-            )
+            ))
 
     return [
         _choose(direction, found, probes, spent)

@@ -51,9 +51,8 @@ class Interval:
 
     @classmethod
     def from_list(cls, pair):
-        lo = -math.inf if pair[0] is None else float(pair[0])
-        hi = math.inf if pair[1] is None else float(pair[1])
-        return cls(lo, hi)
+        lo, hi = pair
+        return cls(-math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
 
 
 GAP_ABOVE = "gap_above"
@@ -189,8 +188,8 @@ def make_function(kind, mu=0.0, domain=None, **params):
         desc["coeffs"] = list(coeffs)
     elif kind == "abs_power":
         alpha = float(params["alpha"])
-        if alpha <= 0:
-            raise InvalidParameterError("abs_power needs alpha > 0")
+        if not 0 < alpha < math.inf:
+            raise InvalidParameterError("abs_power needs a finite alpha > 0")
         rule = lambda x, a=alpha, m=mu: np.abs(x - m) ** a
         dom = Interval()
         # alpha > 1: differentiable with slope 0; alpha == 1: kink, midpoint
@@ -199,8 +198,8 @@ def make_function(kind, mu=0.0, domain=None, **params):
         desc["alpha"] = alpha
     elif kind == "abs_power_sum":
         alpha, n = float(params["alpha"]), float(params["n"])
-        if not 0 < alpha <= n:
-            raise InvalidParameterError("abs_power_sum needs 0 < alpha <= n")
+        if not 0 < alpha <= n < math.inf:
+            raise InvalidParameterError("abs_power_sum needs 0 < alpha <= n < inf")
         rule = lambda x, a=alpha, b=n, m=mu: np.abs(x - m) ** a + np.abs(x - m) ** b
         dom = Interval()
         slope = 0.0 if alpha >= 1 else None
@@ -232,18 +231,62 @@ def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
                         slope_at_mu=None if slope_at_mu is None else float(slope_at_mu))
 
 
+_NUMBER = (float, "a number")
+_NUMBERS = (lambda v: tuple(float(x) for x in v), "a list of numbers")
+
+
+def _read_fields(d, name, tag, fields, optional=()):
+    """{key: convert(d[key])} for each key of ``fields``, which maps it to
+    (convert, expected), skipping the ``optional`` keys that ``d`` lacks or
+    sets to null.  Any other missing key, a key of ``d`` besides ``tag``
+    that ``fields`` lacks, or a value that ``convert`` refuses raises
+    InvalidParameterError naming the descriptor ``name`` and the key."""
+    unknown = sorted(set(d) - set(fields) - {tag})
+    if unknown:
+        raise InvalidParameterError(f"{name} has keys it does not take: {unknown}")
+    out = {}
+    for key, (convert, expected) in fields.items():
+        if key in optional and d.get(key) is None:
+            continue
+        if key not in d:
+            raise InvalidParameterError(f"{name} is missing {key!r}")
+        try:
+            out[key] = convert(d[key])
+        except InvalidParameterError:
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameterError(
+                f"{name}: {key!r} must be {expected}, got {d[key]!r}") from None
+    return out
+
+
+# the parameters each built-in kind takes besides "mu" and "domain"
+_KIND_PARAMS = {
+    "sin": {}, "cos": {}, "log": {}, "sqrt": {}, "pow4": {},
+    "polynomial": {"coeffs": _NUMBERS},
+    "abs_power": {"alpha": _NUMBER},
+    "abs_power_sum": {"alpha": _NUMBER, "n": _NUMBER},
+}
+
+
 def function_from_dict(d):
     """Parse the JSON descriptor form of a function."""
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidParameterError("function descriptor must be an object with a 'kind' key")
-    d = dict(d)
-    kind = d.pop("kind")
+    kind = d["kind"]
+    name = f"function descriptor for {kind!r}"
     if kind == "shifted":
-        base = function_from_dict(d["base"])
-        return linear_shift(base, float(d["slope"]))
-    mu = d.pop("mu", 0.0)
-    domain = d.pop("domain", None)
-    return make_function(kind, mu=mu, domain=domain, **d)
+        shift = _read_fields(d, name, "kind", {
+            "base": (function_from_dict, "a function descriptor"), "slope": _NUMBER})
+        return linear_shift(shift["base"], shift["slope"])
+    if kind not in _KIND_PARAMS:
+        raise InvalidParameterError(f"unknown function kind {kind!r}")
+    fields = _read_fields(d, name, "kind", {
+        "mu": _NUMBER, "domain": (Interval.from_list, "a [lo, hi] pair"),
+        **_KIND_PARAMS[kind]}, optional=("mu", "domain"))
+    # the parameters go in as written, which is how the label shows them
+    fields.update((key, d[key]) for key in _KIND_PARAMS[kind])
+    return make_function(kind, **fields)
 
 
 # ---------------------------------------------------------------------------

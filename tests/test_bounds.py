@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+import jensengap.cli as cli
 from jensengap.bounds import (
     general_bounds,
     lower_bound_cauchy_schwarz,
@@ -93,10 +95,11 @@ def test_holder_single_equals_full_at_top_q():
     f = flat_quartic()
     M = inf_ratio_lower(f, 2.0, 1.0, sign=GAP_ABOVE)
     dist = Discrete(((0.0, 0.3), (1.2, 0.5), (2.0, 0.2)))
-    for k in (1, 2, 3):
+    for k in range(1, 11):
         single = lower_bound_holder_single(M, dist, 2.0, 1.0, k)
         full = lower_bound_holder(M, dist, 2.0, 1.0, k, k + 1)
-        assert abs(single.value - full.value) <= 1e-12 * max(abs(full.value), 1.0)
+        assert single.kind == "lower_holder_single"
+        assert dataclasses.replace(single, kind=full.kind) == full
 
 
 def test_holder_single_is_k_independent_on_two_points():
@@ -142,6 +145,20 @@ def test_holder_parameter_rejection():
             lower_bound_holder_single(M, dist, 2.0, 1.0, bad)
         with pytest.raises(InvalidParameterError):
             general_bounds(f, dist, [(1.0, 1.0), (2.0, 1.0)], "lower", k=bad)
+
+
+def test_holder_split_checked_before_the_envelope(monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the envelope was solved")
+
+    monkeypatch.setattr(cli, "inf_ratio_lower", solve)
+    code = cli.main(["bound", "--kind", "holder", "--alpha", "2", "--beta", "2",
+                     "--k", "1", "--q", "2.5",
+                     "--function", '{"kind": "cos", "mu": 0}',
+                     "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1}'])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: q must be a divisor of k+1 = 2 with q >= 2, got 2.5\n")
 
 
 def test_envelope_role_mismatch_rejected():

@@ -85,6 +85,49 @@ def test_malformed_json_is_input_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("function, dist, message", [
+    ('{"kind": "abs_power", "mu": 0}', PAIR, "'abs_power' is missing 'alpha'"),
+    ('{"kind": "abs_power_sum", "mu": 0, "alpha": 1}', PAIR,
+     "'abs_power_sum' is missing 'n'"),
+    ('{"kind": "polynomial", "mu": 0}', PAIR, "'polynomial' is missing 'coeffs'"),
+    ('{"kind": "shifted", "base": {"kind": "sin", "mu": 0}}', PAIR,
+     "'shifted' is missing 'slope'"),
+    ('{"kind": "abs_power", "mu": 0, "alpha": null}', PAIR,
+     "'alpha' must be a number, got None"),
+    ('{"kind": "polynomial", "mu": 0, "coeffs": 5}', PAIR,
+     "'coeffs' must be a list of numbers, got 5"),
+    (COS, '{"variant": "uniform", "lo": null, "hi": 1}',
+     "'lo' must be a number, got None"),
+    (COS, '{"variant": "discrete", "points": 5}',
+     "'points' must be a list of [x, p] pairs, got 5"),
+    ('{"kind": "cos", "mu": 0, "domain": [0.5]}', PAIR,
+     "'domain' must be a [lo, hi] pair, got [0.5]"),
+    ('{"kind": "cos", "mu": 0, "domain": 5}', PAIR,
+     "'domain' must be a [lo, hi] pair, got 5"),
+    ('{"kind": "cos", "alpha": 3}', PAIR, "'cos' has keys it does not take: ['alpha']"),
+    (COS, '{"variant": "gaussian", "mean": 0, "stddev": 1, "extra": 5}',
+     "'gaussian' has keys it does not take: ['extra']"),
+    ('{"kind": "abs_power", "mu": 0, "alpha": NaN}', PAIR, "finite alpha > 0"),
+    ('{"kind": "abs_power", "mu": 0, "alpha": Infinity}', PAIR, "finite alpha > 0"),
+])
+def test_malformed_descriptor_is_input_error(capsys, function, dist, message):
+    code = cli.main(["oracle", "--function", function, "--dist", dist])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bound"], "--kind"),
+    (["tightness"], "--construction"),
+    (["sweep"], "--mode"),
+])
+def test_missing_required_choice_is_input_error(capsys, argv, flag):
+    code = cli.main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: this command needs {flag}\n"
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bound", "--no-such-flag"])

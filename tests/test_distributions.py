@@ -388,6 +388,16 @@ def test_empirical_expect_is_exact_sum():
     assert est.count == 4
 
 
+def test_empirical_is_the_discrete_law_of_its_sample():
+    dist = Empirical((2.0, -1.0, 2.0, 2.0))
+    assert isinstance(dist, Discrete)
+    assert dist.points == ((-1.0, 0.25), (2.0, 0.75))
+    assert dist.samples == (2.0, -1.0, 2.0, 2.0)
+    # the gap sums the distinct atoms
+    assert dist.expect(np.cos).count == 2
+    assert dist.to_dict() == {"variant": "empirical", "samples": [2.0, -1.0, 2.0, 2.0]}
+
+
 def test_expectation_of_function_exact_sum():
     dist = two_point(0.0, 0.5)
     est = dist.expect(lambda x: np.cos(x))
@@ -439,6 +449,22 @@ def test_infinite_spread_rejected(direct, descriptor):
 def test_overflowing_moment_is_evaluation_error(dist, order, variant):
     with pytest.raises(EvaluationError, match=f"order-{order} .*{variant}"):
         dist.abs_central_moment(order)
+
+
+def test_monte_carlo_error_bar_survives_overflowing_squares():
+    # |X - mu| reaches 1e200, so the squares in the spread overflow a double
+    moment = mean_of_n(two_point(0.0, 1e200), 4).abs_central_moment(1)
+    assert moment.method == "monte_carlo"
+    assert 0 < moment.abs_error_estimate < 0.1 * moment.sigma_p_pow
+
+
+def test_infinite_error_bar_is_evaluation_error(monkeypatch):
+    def unbounded(self, p, method, nodes, draws):
+        return distributions._moment(p, 1.0, "monte_carlo", math.inf)
+
+    monkeypatch.setattr(Discrete, "_moment_pow", unbounded)
+    with pytest.raises(EvaluationError, match="order-1 .*discrete"):
+        two_point(0.0, 1.0).abs_central_moment(1)
 
 
 def test_from_dict_round_trip():
