@@ -330,7 +330,7 @@ class Distribution(ABC):
         """[E(X - mu)^j for j = 0..p] for an integer p, exact to rounding."""
 
     def _moment_monte_carlo(self, p, draws):
-        with np.errstate(over="ignore"):  # an overflow is caught as inf
+        with np.errstate(over="ignore"):  # inf, which abs_central_moments reports
             powed = np.abs(draws() - self.mean()) ** p
         est, err = _monte_carlo(powed)
         return _moment(p, est, "monte_carlo", err)
