@@ -290,10 +290,12 @@ def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
     """Curvature interval: inf h * sigma_2^2 <= J <= sup h * sigma_2^2.
 
     An unbounded curvature side propagates to an infinite endpoint, which is
-    a valid if trivial one-sided statement, not an error.
+    a valid if trivial one-sided statement, not an error.  The mean is
+    checked before the curvature is solved, and the curvature is solved
+    once per FunctionSpec: later intervals of the same f reuse it.
     """
-    h_lo, h_hi = curvature_envelope(f)
     mean = _check_mean(f.mu, dist)
+    h_lo, h_hi = curvature_envelope(f)
     moments = dist.abs_central_moments([2.0], seed=seed, samples=samples,
                                        nodes=nodes)
     m2 = moments[2.0].sigma_p_pow

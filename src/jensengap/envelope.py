@@ -572,7 +572,17 @@ def curvature_envelope(f):
     Returns (inf_constant, sup_constant).  Either side may legitimately be
     infinite; that is reported as a value of +/-inf with the escape location,
     not as an error, since the other side can still give a one-sided bound.
+
+    The pair is solved once per FunctionSpec and kept on it, so every later
+    call on the same spec returns the same constants without calling the
+    rule.  A solve that raises keeps nothing and raises again next time.
     """
+    if "curvature" not in f._solved:
+        f._solved["curvature"] = _solve_curvature(f)
+    return f._solved["curvature"]
+
+
+def _solve_curvature(f):
     slope = select_shift_slope(f)
     fmu = evaluate(f, f.mu)
 

@@ -97,9 +97,14 @@ class FunctionSpec:
     """A function together with its interval, anchor point, and metadata.
 
     ``rule`` must accept a float (and ideally a numpy array) of points inside
-    ``domain`` and return finite values.  ``slope_at_mu`` is the analytic
-    derivative at mu when one is known; for a convex kink it is the midpoint
-    of the subgradient interval.
+    ``domain`` and return finite values, and it must be deterministic: the
+    same point always gives the same value, which every bound assumes.
+    ``slope_at_mu`` is the analytic derivative at mu when one is known; for
+    a convex kink it is the midpoint of the subgradient interval.
+
+    ``_solved`` holds the curvature envelope once ``curvature_envelope`` has
+    solved it; it takes no part in equality or hashing, and a spec made by
+    ``dataclasses.replace`` or ``linear_shift`` starts without it.
     """
 
     label: str
@@ -108,6 +113,7 @@ class FunctionSpec:
     mu: float
     slope_at_mu: float | None = None
     descriptor: tuple = ()
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain.contains(self.mu):
@@ -231,8 +237,15 @@ def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
                         slope_at_mu=None if slope_at_mu is None else float(slope_at_mu))
 
 
-_NUMBER = (float, "a number")
-_NUMBERS = (lambda v: tuple(float(x) for x in v), "a list of numbers")
+def _real(v):
+    """float(v) for a descriptor number; JSON true is not the number 1."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
+_NUMBER = (_real, "a number")
+_NUMBERS = (lambda v: tuple(_real(x) for x in v), "a list of numbers")
 
 
 def _read_fields(d, name, tag, fields, optional=()):
@@ -282,7 +295,9 @@ def function_from_dict(d):
     if kind not in _KIND_PARAMS:
         raise InvalidParameterError(f"unknown function kind {kind!r}")
     fields = _read_fields(d, name, "kind", {
-        "mu": _NUMBER, "domain": (Interval.from_list, "a [lo, hi] pair"),
+        "mu": _NUMBER,
+        "domain": (lambda v: Interval.from_list([x if x is None else _real(x) for x in v]),
+                   "a [lo, hi] pair"),
         **_KIND_PARAMS[kind]}, optional=("mu", "domain"))
     # the parameters go in as written, which is how the label shows them
     fields.update((key, d[key]) for key in _KIND_PARAMS[kind])

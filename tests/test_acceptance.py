@@ -1,8 +1,9 @@
 """Acceptance gate.
 
 One test per acceptance criterion, so the verbose pytest report shows one
-pass/fail line for each.  Tolerances and time budgets are the contract
-values, not what the implementation happens to achieve today.
+pass/fail line for each, plus a count of the solves criterion 2 makes.
+Tolerances and time budgets are the contract values, not what the
+implementation happens to achieve today.
 """
 
 import math
@@ -21,6 +22,7 @@ from jensengap import (
     Uniform,
     bounds,
     decay_exponent,
+    envelope,
     fit_loglog_slope,
     inf_ratio_lower,
     jensen_gap,
@@ -184,6 +186,23 @@ def test_criterion_2_randomized_sandwich():
     report_line(2, "randomized sandwich", ok,
                 f"{checks} checks, {len(failures)} violations, "
                 f"worst margin {worst:.3g}, {elapsed:.1f}s")
+
+
+def test_criterion_2_pool_solves_each_curvature_once(monkeypatch):
+    solves = []
+    optimize = envelope._optimize
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].label)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(envelope, "_optimize", counted)
+    rng = np.random.default_rng(20260821)
+    pool = _sandwich_pool()
+    for f, _, _, _, draw in pool:
+        for _ in range(12):
+            bounds.variance_interval(f, draw(rng))
+    assert solves == [f.label for f, *_ in pool]
 
 
 def test_criterion_3_sharpness_constructions():

@@ -109,6 +109,16 @@ def test_malformed_json_is_input_error(capsys):
      "'gaussian' has keys it does not take: ['extra']"),
     ('{"kind": "abs_power", "mu": 0, "alpha": NaN}', PAIR, "finite alpha > 0"),
     ('{"kind": "abs_power", "mu": 0, "alpha": Infinity}', PAIR, "finite alpha > 0"),
+    ('{"kind": "abs_power", "mu": 0, "alpha": true}', PAIR,
+     "'alpha' must be a number, got True"),
+    ('{"kind": "cos", "mu": 0, "domain": [false, null]}', PAIR,
+     "'domain' must be a [lo, hi] pair, got [False, None]"),
+    (COS, '{"variant": "gaussian", "mean": 0, "stddev": true}',
+     "'stddev' must be a number, got True"),
+    (COS, '{"variant": "empirical", "samples": [true, 0.5]}',
+     "'samples' must be a list of numbers, got [True, 0.5]"),
+    (COS, '{"variant": "discrete", "points": [[true, 1]]}',
+     "'points' must be a list of [x, p] pairs, got [[True, 1]]"),
 ])
 def test_malformed_descriptor_is_input_error(capsys, function, dist, message):
     code = cli.main(["oracle", "--function", function, "--dist", dist])

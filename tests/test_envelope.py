@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from jensengap.bounds import upper_bound, variance_interval
-from jensengap.distributions import two_point
+from jensengap.distributions import Discrete, two_point
 from jensengap.envelope import (
     AT_INFINITY,
     AT_MU,
@@ -20,6 +21,7 @@ from jensengap.envelope import (
 from jensengap.errors import (
     ConditionViolationError,
     DegenerateEnvelopeError,
+    DerivativeEstimateError,
     InvalidParameterError,
     UnboundedEnvelopeError,
 )
@@ -318,6 +320,67 @@ def test_rule_call_budget():
     calls.clear()
     sup_ratio_upper(f, 2.0, 2.0)
     assert len(calls) <= 100
+
+
+def test_variance_interval_solves_curvature_once_per_spec():
+    f, calls = _counting_cos()
+    per_call = []
+    for sigma in (0.1, 0.5, 1.0, 2.0):
+        before = len(calls)
+        variance_interval(f, two_point(0.0, sigma))
+        per_call.append(len(calls) - before)
+    assert per_call[0] > 0 and per_call[1:] == [0, 0, 0]
+    assert len(calls) <= 100
+
+
+def test_equal_specs_solve_bit_identical_curvature():
+    a, b = make_function("cos", 0.0), make_function("cos", 0.0)
+    solved = curvature_envelope(a)
+    # the kept pair takes no part in equality or hashing
+    assert a == b
+    c, d = custom_function(np.cos, 0.0), custom_function(np.cos, 0.0)
+    curvature_envelope(c)
+    assert c == d and hash(c) == hash(d)
+    again = curvature_envelope(b)
+    assert again is not solved
+    for x, y in zip(solved, again):
+        assert x.value.hex() == y.value.hex()
+        assert (x.arg, x.location, x.diag) == (y.arg, y.location, y.diag)
+        assert x.to_dict() == y.to_dict()
+
+
+def test_derived_specs_solve_their_own_curvature():
+    f, calls = _counting_cos()
+    solved = curvature_envelope(f)
+    for g in (linear_shift(f, 0.5),
+              dataclasses.replace(f, mu=0.25, slope_at_mu=-math.sin(0.25))):
+        before = len(calls)
+        h_lo, h_hi = curvature_envelope(g)
+        assert len(calls) > before
+        assert h_lo.mu == h_hi.mu == g.mu
+    assert curvature_envelope(f) is solved
+
+
+@pytest.mark.parametrize("slope, error", [
+    (None, DerivativeEstimateError),
+    (0.0, InvalidParameterError),
+], ids=["no_slope", "no_probe_room"])
+def test_failed_curvature_solve_raises_every_time(slope, error):
+    f = custom_function(np.cos, 0.0, domain=[0.0, 0.0], slope_at_mu=slope)
+    for _ in range(2):
+        with pytest.raises(error):
+            curvature_envelope(f)
+        with pytest.raises(error):
+            variance_interval(f, Discrete(((0.0, 1.0),)))
+
+
+def test_variance_interval_checks_mean_before_solving():
+    def unusable(x):
+        raise AssertionError("the curvature was solved")
+
+    f = custom_function(unusable, 0.0)
+    with pytest.raises(InvalidParameterError, match="distribution mean is 1.0"):
+        variance_interval(f, two_point(1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
