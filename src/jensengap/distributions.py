@@ -134,8 +134,10 @@ def _central_list(p, moment):
 
 
 def _blockwise(fn, xs, width):
-    """``fn`` over xs in blocks, so that a table of ``width`` cells per point
-    never holds more than _OUTER_CELLS cells."""
+    """``fn`` over xs in blocks, so that no table ``fn`` builds holds more
+    than _OUTER_CELLS cells; ``width`` is the most cells its widest table
+    takes per point (the K panel centres of the uniform-mean inversion, the
+    mixture terms of the Laplace mean)."""
     step = max(1, _OUTER_CELLS // width)
     return np.concatenate([fn(xs[i:i + step]) for i in range(0, xs.size, step)])
 
@@ -693,6 +695,68 @@ class Uniform(_NamedContinuous):
 # ---------------------------------------------------------------------------
 # Mean of n independent copies
 
+def _inversion_cut(n, h):
+    """The T at which the inversion integral of the mean of n uniform draws
+    of half-width h is cut: the density it drops, times the width 2h, is at
+    most INVERSION_TOL.  The smaller of two certified cuts, with u = h t/n:
+
+    - |phi(t/n)| = |sin u / u| <= 1/u, so the integral beyond T is at most
+      (n/h)^n T^(1-n) / ((n-1) pi) at every x; T grows like n;
+    - below u = pi also |sin u / u| <= exp(-u^2/6), since every term of the
+      series of log(sin u / u) is negative, so up to L = n pi / h the
+      integral is at most int_T^L exp(-(a t)^2) dt / pi, a = h / sqrt(6 n),
+      which is sqrt(pi) (erfc(a T) - erfc(a L)) / (2 a pi), plus the first
+      bound from L on; T grows like sqrt(n).
+    """
+    width = 2.0 * h
+    power = math.exp((n * math.log(n / h) - math.log((n - 1) * math.pi)
+                      + math.log(width / INVERSION_TOL)) / (n - 1))
+    a, top = h / math.sqrt(6.0 * n), math.pi * math.sqrt(n / 6.0)  # top = a L
+    beyond = n / h * math.pi ** (1 - n) / (n - 1)  # pi times the first bound at L
+    room = INVERSION_TOL * math.pi / width - beyond
+    if room <= 0.0:
+        return power
+    # erfc(a T) may be at most erfc(a L) + room 2a / sqrt(pi); bisect for the
+    # smallest such a T, keeping ``hi`` on the certified side
+    most = math.erfc(top) + room * 2.0 * a / math.sqrt(math.pi)
+    lo, hi = 0.0, top
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid) <= most:
+            hi = mid
+        else:
+            lo = mid
+    return min(power, hi / a)
+
+
+def _inversion_panels(n, h):
+    """(centres c, offsets o, weights) of the inversion integral of the
+    density of the mean of n uniform draws of half-width h: K equal panels
+    over [0, T], each short enough for cos(t (x - mu)) to be integrated to
+    rounding, take one K21 rule each.  The nodes are t = c_k + o_i, and the
+    (K, 21) weights hold the rule's weights times phi(t/n)^n / pi."""
+    cut = _inversion_cut(n, h)
+    panels = math.ceil(cut * h / _PANEL_PHASE)
+    half = 0.5 * cut / panels
+    centres = (2.0 * np.arange(panels) + 1.0) * half
+    offsets = half * _GK_NODES
+    ts = centres[:, None] + offsets
+    weights = half * _GK_KRONROD_WEIGHTS * _sinc_power(h * ts / n, n) / math.pi
+    return centres, offsets, weights
+
+
+def _sinc_power(u, n):
+    """(sin u / u)^n.  Below |u| = 1 it is exp(n log1p(d)) with d = sin u / u
+    - 1 summed from its series: the rounding of sin u / u itself would grow n
+    times in the power, which at n = 10^5 moves the density's mass by 8e-13."""
+    small = np.abs(u) < 1.0
+    z = np.square(np.where(small, u, 0.0))
+    d = np.zeros_like(z)
+    for k in range(9, 0, -1):  # Horner; the first dropped term is below 1e-19
+        d = -z / (2 * k * (2 * k + 1)) * (1.0 + d)
+    return np.where(small, np.exp(n * np.log1p(d)), np.sinc(u / math.pi) ** n)
+
+
 @dataclass(frozen=True)
 class MeanOfN(_NamedContinuous):
     """Distribution of the average of n independent draws from ``base``.
@@ -710,7 +774,13 @@ class MeanOfN(_NamedContinuous):
     - a uniform base gives the Irwin-Hall density below IRWIN_HALL_BELOW
       and the inversion (1/pi) int_0^T phi(t/n)^n cos(t (x - mu)) dt above
       it, integrated over the bounded support; the density the cut at T
-      drops is bounded in closed form and joins the error bar.
+      drops is bounded in closed form and joins the error bar.  T is the
+      smaller of two certified cuts, one from |phi| <= 1/u, which grows
+      like n, and one from |phi| <= exp(-u^2/6) below u = pi, which grows
+      like sqrt(n) and is the smaller for 31 <= n <= 47 and n >= 116.
+      The inversion's nodes lie on K equal panels, t = c_k + o_i, so its
+      cosines factor into 21 offset and K centre cosines and sines per
+      point, contracted by einsum.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
     with CLT error bars for their gaps and their other moment orders.  The
@@ -857,26 +927,24 @@ class MeanOfN(_NamedContinuous):
                 return norm * total
 
             return irwin_hall, 0.0
-        h, mu = 0.5 * width, self.mean()
-        # |phi(t/n)| = |sin(h t/n) / (h t/n)| <= n/(h t), so the inversion
-        # integral beyond T is at most (n/h)^n T^(1-n) / ((n-1) pi) at every
-        # x; T puts that, times the width, at INVERSION_TOL
-        cut = math.exp((n * math.log(n / h) - math.log((n - 1) * math.pi)
-                        + math.log(width / INVERSION_TOL)) / (n - 1))
-        # fixed K21 panels, each short enough for the fastest oscillation,
-        # cos(2 h t), to be integrated to rounding
-        panels = math.ceil(cut * h / _PANEL_PHASE)
-        half = 0.5 * cut / panels
-        ts = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GK_NODES).ravel()
-        weights = (np.tile(half * _GK_KRONROD_WEIGHTS, panels)
-                   * np.sinc(h * ts / (n * math.pi)) ** n / math.pi)
+        mu = self.mean()
+        centres, offsets, weights = _inversion_panels(n, 0.5 * width)
 
         def inverted(xs):
-            # elementwise products and sums only: a matrix product would go
-            # to threaded BLAS and cost far more CPU than it saves
-            return (np.cos(np.multiply.outer(xs - mu, ts)) * weights).sum(axis=1)
+            # the nodes are t = c + o for the panel centres c and the K21
+            # offsets o, and cos((c + o) u) = cos(c u) cos(o u) - sin(c u)
+            # sin(o u): 21 + K trig calls per point instead of 21 K.  einsum
+            # contracts without BLAS, whose threads would cost more CPU than
+            # these 21-wide contractions save
+            u = xs - mu
+            cu, ou = np.multiply.outer(u, centres), np.multiply.outer(u, offsets)
+            a = np.einsum("xi,ki->xk", np.cos(ou), weights)
+            b = np.einsum("xi,ki->xk", np.sin(ou), weights)
+            return np.einsum("xk,xk->x", np.cos(cu), a) - np.einsum("xk,xk->x", np.sin(cu), b)
 
-        return (lambda xs: _blockwise(inverted, xs, ts.size)), INVERSION_TOL
+        # K is at least 21 for every n (its least is 21, at n = 31), so the
+        # centre tables are the widest
+        return (lambda xs: _blockwise(inverted, xs, centres.size)), INVERSION_TOL
 
     def to_dict(self):
         return {"variant": "mean_of_n", "base": self.base.to_dict(), "n": self.n}

@@ -123,7 +123,21 @@ class FunctionSpec:
         return evaluate(self, x)
 
     def to_dict(self):
-        return dict(self.descriptor) if self.descriptor else {"kind": "custom", "mu": self.mu}
+        return _thawed(self.descriptor) if self.descriptor else {"kind": "custom", "mu": self.mu}
+
+
+def _frozen(desc):
+    """A descriptor dict as (key, value) pairs sorted by key, hashable like
+    the rest of the spec: lists become tuples, and the descriptor under
+    "base" (a shifted function's) becomes pairs in turn."""
+    return tuple(sorted(((k, _frozen(v) if k == "base" else tuple(v) if isinstance(v, list) else v)
+                         for k, v in desc.items()), key=lambda kv: kv[0]))
+
+
+def _thawed(pairs):
+    """The descriptor dict that ``_frozen`` made ``pairs`` from."""
+    return {k: _thawed(v) if k == "base" else list(v) if isinstance(v, tuple) else v
+            for k, v in pairs}
 
 
 def evaluate(f, x):
@@ -226,7 +240,7 @@ def make_function(kind, mu=0.0, domain=None, **params):
          "abs_power_sum": f"|x-{mu:g}|^{params.get('alpha')} + |x-{mu:g}|^{params.get('n')}",
          "polynomial": "poly" + str(list(params.get("coeffs", [])))}[kind]
     return FunctionSpec(label=label, rule=rule, domain=dom, mu=mu,
-                        slope_at_mu=slope, descriptor=tuple(sorted(desc.items(), key=lambda kv: kv[0])))
+                        slope_at_mu=slope, descriptor=_frozen(desc))
 
 
 def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
@@ -313,7 +327,7 @@ def linear_shift(f, a):
     base_rule, mu = f.rule, f.mu
     rule = lambda x: base_rule(x) - a * (np.asarray(x) - mu)
     slope = None if f.slope_at_mu is None else f.slope_at_mu - a
-    desc = (("base", f.to_dict()), ("kind", "shifted"), ("slope", a))
+    desc = _frozen({"base": f.to_dict(), "kind": "shifted", "slope": a})
     return FunctionSpec(label=f"{f.label} - {a:g}*(x-{mu:g})", rule=rule,
                         domain=f.domain, mu=mu, slope_at_mu=slope, descriptor=desc)
 

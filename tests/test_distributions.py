@@ -318,6 +318,55 @@ def test_mean_of_n_cos_gaps_match_closed_forms(n):
             assert abs(gap.value - want) <= 2e-14
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 64, 256, 4096])
+def test_factored_inversion_matches_direct_cos_sum(monkeypatch, n):
+    avg = MeanOfN(Uniform(0.5, 2.0), n)
+    centres, offsets, weights = distributions._inversion_panels(n, 0.75)
+    ts = (centres[:, None] + offsets).ravel()
+    xs = np.linspace(0.5, 2.0, 201)
+    # the direct sum: one cos per point and node
+    want = (np.cos(np.multiply.outer(xs - 1.25, ts)) * weights.ravel()).sum(axis=1)
+    pdf, missed = avg._density()
+    got = pdf(xs)
+    assert missed == distributions.INVERSION_TOL
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # blocks of three points give the same values as one block
+    monkeypatch.setattr(distributions, "_OUTER_CELLS", 3 * centres.size)
+    assert np.array_equal(avg._density()[0](xs), got)
+
+
+def _sinc_power_tail(n, h, cut):
+    """pi times the largest density the inversion drops beyond ``cut``: the
+    integral of |sin u / u|^n, u = h t / n, by a fine trapezoid rule up to
+    the larger of 4 cut and u = 2 pi, plus the 1/u^n bound beyond."""
+    top = max(4.0 * cut, 2.0 * math.pi * n / h)
+    ts = np.linspace(cut, top, 400_001)
+    vals = np.abs(np.sinc(h * ts / (n * math.pi))) ** n
+    body = float(np.sum((vals[1:] + vals[:-1]) * np.diff(ts))) / 2.0
+    return body + math.exp(n * math.log(n / (h * top)) + math.log(top / (n - 1)))
+
+
+@pytest.mark.parametrize("n", [8, 64, 65, 256, 4096, 10**5])
+def test_inversion_cut_drops_at_most_the_tolerance(n):
+    h = 0.75
+    cut = distributions._inversion_cut(n, h)
+    assert 2.0 * h * _sinc_power_tail(n, h, cut) / math.pi <= distributions.INVERSION_TOL
+    if n >= 256:
+        # the Gaussian bound sets the cut: T grows like sqrt(n), not like n
+        assert cut * h < 20.0 * math.sqrt(n)
+
+
+def test_uniform_mean_at_large_n_is_exact_and_quick():
+    n = 10**5
+    assert distributions._inversion_panels(n, 1.0)[0].size < 2000
+    gap = jensen_gap(make_function("cos", 0.0), mean_of_n(Uniform(-1.0, 1.0), n))
+    want = _cos_gap_uniform(n)
+    assert abs(gap.value - want) <= gap.abs_error
+    # the quadrature over x stops at its tolerance with about 2e-14 left,
+    # even on a long-double density, so this is not rounding alone
+    assert abs(gap.value - want) <= 5e-14
+
+
 def test_laplace_mean_of_one_is_the_laplace():
     base = Laplace(0.5, 1.5)
     # smooth integrands: a cusp at the mean converges only to the rule's

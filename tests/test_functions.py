@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -145,6 +147,30 @@ def test_function_dict_round_trip():
     shifted = linear_shift(make_function("sin", 0.0), 1.0)
     back = function_from_dict(shifted.to_dict())
     assert evaluate(back, 0.9) == pytest.approx(evaluate(shifted, 0.9))
+
+
+CATALOG_DESCRIPTORS = [
+    {"kind": "sin", "mu": 0.0}, {"kind": "cos", "mu": 0.0},
+    {"kind": "log", "mu": 1.0, "domain": [0.5, None]}, {"kind": "sqrt", "mu": 1.0},
+    {"kind": "pow4", "mu": 1.0}, {"kind": "polynomial", "mu": 0.0, "coeffs": [0, 0, -1]},
+    {"kind": "abs_power", "mu": 0.0, "alpha": 1.5},
+    {"kind": "abs_power_sum", "mu": 0.5, "alpha": 1.5, "n": 3.0},
+    {"kind": "shifted", "slope": 1.0, "base": {"kind": "polynomial", "mu": 0.0,
+                                                "coeffs": [0, 1, 1], "domain": [-2, 2]}},
+]
+
+
+@pytest.mark.parametrize("desc", CATALOG_DESCRIPTORS, ids=lambda d: d["kind"])
+def test_specs_hash_and_compare(desc):
+    f = function_from_dict(desc)
+    twin = dataclasses.replace(f)
+    assert twin == f and hash(twin) == hash(f)
+    assert len({f, twin}) == 1
+    assert dataclasses.replace(f, mu=f.mu + 1e-3) != f
+    # the frozen descriptor reads back as its JSON form, lists and all (a
+    # tuple would come back from JSON as a list, and compare unequal)
+    assert json.loads(json.dumps(f.to_dict())) == f.to_dict()
+    assert function_from_dict(f.to_dict()).to_dict() == f.to_dict()
 
 
 def test_validate_growth_accepts_and_rejects():
