@@ -44,8 +44,8 @@ class BoundReport:
     ``value`` is a float for one-sided kinds and a (lo, hi) pair for
     variance_interval.  ``envelope`` is the constant the formula multiplies;
     variance_interval stores its inf constant there and the sup constant in
-    ``envelope_hi``.  ``valid`` records whether growth validation ran and
-    passed for the envelope.
+    ``envelope_hi``.  ``valid`` is always true: an envelope that fails its
+    growth screen raises instead of returning.
     """
 
     kind: str
@@ -74,22 +74,12 @@ class BoundReport:
             "envelope_hi": self.envelope_hi.to_dict() if self.envelope_hi else None,
             "loose_value": self.loose_value,
             "moments_used": [m.to_dict() for m in self.moments_used],
-            "params": _jsonable_params(self.params),
+            "params": dict(self.params),
             "valid": self.valid,
             "uncertainty": self.uncertainty,
             "f_label": self.f_label,
             "dist_label": self.dist_label,
         }
-
-
-def _jsonable_params(params):
-    out = {}
-    for key, val in params:
-        if key == "terms":
-            out[key] = [[eta, a] for eta, a in val]
-        else:
-            out[key] = val
-    return out
 
 
 def _check_mean(mu, dist):
@@ -117,21 +107,26 @@ def _require_envelope(M, role, **expected):
             )
 
 
+def _fsum(terms):
+    """Exact sum of terms >= 0; inf where it overflows a double, as sum() gives."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _evaluate_with_uncertainty(formula, moments):
     """Apply a formula of the m_r values; bump each by its error estimate.
 
     Returns (value, uncertainty) with uncertainty the summed first-order
-    response to each moment's error, measured by actual re-evaluation.
+    response to each moment's error, measured by re-evaluation, summed exactly.
     """
     base_args = {p: mv.sigma_p_pow for p, mv in moments.items()}
     value = formula(base_args)
-    unc = 0.0
-    for p, mv in moments.items():
-        err = mv.abs_error_estimate
-        if err:
-            bumped = dict(base_args)
-            bumped[p] = bumped[p] + err
-            unc += abs(formula(bumped) - value)
+    unc = _fsum(
+        abs(formula({**base_args, p: base_args[p] + mv.abs_error_estimate}) - value)
+        for p, mv in moments.items() if mv.abs_error_estimate
+    )
     return float(value), float(unc)
 
 
@@ -143,16 +138,16 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     of None is the literal m_0 = 1, not requested as a moment; every other
     order is requested in sequence, numerator first, which is the order
     ``moments_used`` lists them in.  Every bound kind except the variance
-    interval is one such spec.  ``loose``, a formula of the m_r values,
-    gives the report's ``loose_value``.
+    interval is one such spec; exact sums make it blind to term order.
+    ``loose``, a formula of the m_r values, gives the report's ``loose_value``.
     """
     mean = _check_mean(M.mu, dist)
     orders = [r for _, r in num + den if r is not None]
     moments = dist.abs_central_moments(orders, **moment_kw)
 
     def formula(m):
-        top = sum(c * m[r] for c, r in num)
-        bottom = sum(c * (1.0 if r is None else m[r]) for c, r in den)
+        top = _fsum(c * m[r] for c, r in num)
+        bottom = _fsum(c * (1.0 if r is None else m[r]) for c, r in den)
         return M.value * top ** power / bottom ** root
 
     value, unc = _evaluate_with_uncertainty(formula, moments)
@@ -246,9 +241,31 @@ def _check_k(k):
     return int(k)
 
 
-def _binomial_terms(k, first, step):
-    """(C(k, l), first + l step) for l = 0..k: the expanded (1 + t)^k."""
-    return [(math.comb(k, l), first + l * step) for l in range(k + 1)]
+def _expand(terms, alpha, degree, first):
+    """(sum a_eta t^(alpha-eta))^degree expanded: each multiset of term indices,
+    with counts c_i, gives multinomial(degree; c) prod a_i^c_i at moment order
+    first + sum c_i (alpha - eta_i), in ``combinations_with_replacement`` order."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(len(terms)), degree):
+        coeff, weight, order = math.factorial(degree), 1.0, 0.0
+        for i, (eta, a) in enumerate(terms):
+            c = combo.count(i)
+            coeff //= math.factorial(c)
+            weight *= a ** c
+            order += c * (alpha - eta)
+        out.append((coeff * weight, first + order))
+    return out
+
+
+def _holder_bound(kind, M, dist, params, terms, alpha, k, q, moment_kw):
+    """Hoelder at the split (k, q), p = q/(q-1): M num^p / den^(p/q), ``terms``
+    expanded to degree (k+1)/q - 1 from order alpha/p in num, to k from 0 in den."""
+    p = q / (q - 1.0)
+    return _power_sum_bound(
+        kind, M, dist, params,
+        _expand(terms, alpha, (k + 1) // q - 1, alpha / p), p,
+        _expand(terms, alpha, k, 0.0), p / q, moment_kw,
+    )
 
 
 def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
@@ -257,20 +274,17 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
 
     q must divide k+1 and exceed 1; p is the conjugate q/(q-1).  The value
     is M [sum_l C((k+1)/q-1, l) m_{alpha/p + l(alpha-beta)}]^p /
-    [sum_l C(k, l) m_{l(alpha-beta)}]^{p/q}.
+    [sum_l C(k, l) m_{l(alpha-beta)}]^{p/q}, its orders listed rising.
     """
     alpha = float(alpha)
     beta = float(beta)
     k, q = check_holder_split(k, q)
     sign = _lower_sign(M, alpha, beta)
-    p = q / (q - 1.0)
-    diff = alpha - beta
-    return _power_sum_bound(
+    return _holder_bound(
         "lower_holder", M, dist,
-        (("alpha", alpha), ("beta", beta), ("k", k), ("q", q), ("p", p),
-         ("sign", sign)),
-        _binomial_terms((k + 1) // q - 1, alpha / p, diff), p,
-        _binomial_terms(k, 0.0, diff), p / q,
+        (("alpha", alpha), ("beta", beta), ("k", k), ("q", q),
+         ("p", q / (q - 1.0)), ("sign", sign)),
+        ((alpha, 1.0), (beta, 1.0)), alpha, k, q,
         dict(seed=seed, samples=samples, nodes=nodes),
     )
 
@@ -327,45 +341,15 @@ def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
     )
 
 
-def _tuple_denominator_orders(terms, alpha, k):
-    """Collapse the k-fold product sum over exponent tuples to multisets.
-
-    Each multiset of term indices with counts (c_1..c_t) contributes
-    multinomial(k; c) * prod a_i^{c_i} at moment order
-    k*alpha - sum c_i eta_i.  Returns [(coefficient, order)].
-    """
-    idx = range(len(terms))
-    combos = itertools.combinations_with_replacement(idx, k)
-    out = []
-    seen = 0
-    for combo in combos:
-        seen += 1
-        if seen > MAX_DENOMINATOR_TERMS:
-            raise InvalidParameterError(
-                f"k = {k} over {len(terms)} terms expands past "
-                f"{MAX_DENOMINATOR_TERMS} denominator terms"
-            )
-        counts = [combo.count(i) for i in idx]
-        coeff = math.factorial(k)
-        weight = 1.0
-        order = k * alpha
-        for i, c in enumerate(counts):
-            coeff //= math.factorial(c)
-            weight *= terms[i][1] ** c
-            order -= c * terms[i][0]
-        out.append((coeff * weight, float(order)))
-    return out
-
-
 def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
                    seed=None, samples=DEFAULT_MOMENT_SAMPLES,
                    nodes=DEFAULT_NODES):
     """Bounds against a user-chosen power sum t(x) = sum a_eta |x-mu|^eta.
 
     mode "upper": |J| <= sup(|f - f(mu)| / t) * sum a_eta m_eta.
-    mode "lower": signed gap >= inf * m_{alpha/2}^2 / sum a_eta m_{alpha-eta}
-    with alpha the largest exponent; the optional integer k swaps in the
-    k-fold-product denominator with numerator order alpha/(1+1/k).
+    mode "lower": the Hoelder bound at q = k+1 (k = 1 when not given), with
+    alpha the largest exponent; at k = 1, signed gap >= inf * m_{alpha/2}^2
+    / sum a_eta m_{alpha-eta}.
     """
     terms = check_terms(terms)
     moment_kw = dict(seed=seed, samples=samples, nodes=nodes)
@@ -381,16 +365,16 @@ def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
         raise InvalidParameterError(f"mode must be 'upper' or 'lower', got {mode!r}")
 
     params = (("terms", terms), ("mode", mode), ("sign", sign))
-    if k is not None:
+    if k is None:
+        k = 1
+    else:
         k = _check_k(k)
         params += (("k", k),)
+    # refuse the C(len(terms) + k - 1, k) expansion before a wasted solve
+    if math.comb(len(terms) + k - 1, k) > MAX_DENOMINATOR_TERMS:
+        raise InvalidParameterError(f"k = {k} over {len(terms)} terms expands past "
+                                    f"{MAX_DENOMINATOR_TERMS} denominator terms")
     M = sup_ratio_general(f, terms, "inf", sign)
     alpha = max(eta for eta, _ in terms)
-    if k is None:
-        num, power, root = [(1, alpha / 2.0)], 2.0, 1.0
-        den = [(a, float(alpha - eta)) for eta, a in terms]
-    else:
-        num, power, root = [(1, alpha * k / (k + 1.0))], (k + 1.0) / k, 1.0 / k
-        den = _tuple_denominator_orders(terms, alpha, k)
-    return _power_sum_bound("general_lower", M, dist, params, num, power, den,
-                            root, moment_kw)
+    return _holder_bound("general_lower", M, dist, params, terms, alpha, k,
+                         k + 1, moment_kw)

@@ -27,21 +27,6 @@ def log_coefficient_reference(a):
     return (a - 1.0 - math.log(a)) / (1.0 - a) ** 2
 
 
-def _row(name, detail, computed, reference, envelope, cap=None):
-    row = {
-        "name": name,
-        "detail": detail,
-        "computed": float(computed),
-        "reference": float(reference),
-        "rel_err": abs(computed - reference) / abs(reference),
-        "argument": envelope.arg,
-        "location": envelope.location,
-    }
-    if cap is not None:
-        row["cap"] = float(cap)
-    return row
-
-
 def worked_example_rows():
     """All reference constants, each recomputed by the envelope solver.
 
@@ -50,83 +35,67 @@ def worked_example_rows():
     slope-shifted first, which leaves the gap untouched but makes the
     growth conditions hold.
     """
-    rows = []
-
+    a = 0.5
     sine = make_function("sin", 0.0)
     sine_flat = linear_shift(sine, 1.0)
-    m = sup_ratio_upper(sine_flat, 3.0, 3.0)
-    rows.append(_row(
-        "sine cubic envelope",
-        "sup |sin x - x| / (2|x|^3) near 0; bound coefficient on sigma_3^3",
-        m.value, 1.0 / 12.0, m,
-    ))
-    m = sup_ratio_upper(sine_flat, 2.0, 2.0)
-    rows.append(_row(
-        "sine quadratic envelope",
-        "sup |sin x - x| / (2x^2), attained where the slope matches",
-        m.value, 0.5 / math.pi, m,
-    ))
-    m = sup_ratio_upper(sine, 1.0, 1.0)
-    rows.append(_row(
-        "sine linear envelope",
-        "sup |sin x| / (2|x|); gives |gap| <= sigma_1 with no shift",
-        m.value, 0.5, m,
-    ))
-
     cosine = make_function("cos", 0.0)
-    m = sup_ratio_upper(cosine, 2.0, 2.0)
-    rows.append(_row(
-        "cosine curvature coefficient",
-        "2 sup |cos x - 1| / (2x^2): coefficient of sigma_2^2",
-        2.0 * m.value, 0.5, m,
-    ))
-
-    a = 0.5
     logarithm = make_function("log", 1.0, domain=Interval(a, math.inf))
     log_flat = linear_shift(logarithm, 1.0)
-    m = sup_ratio_upper(log_flat, 2.0, 2.0)
-    rows.append(_row(
-        "logarithm curvature coefficient",
-        "2 sup |ln x - (x-1)| / (2(x-1)^2) on [1/2, inf): coefficient of "
-        "sigma_2^2, strictly below the crude left-endpoint cap 1/(2a^2)",
-        2.0 * m.value, log_coefficient_reference(a), m,
-        cap=0.5 / a ** 2,
-    ))
-    m = inf_ratio_lower(log_flat, 2.0, 1.0, sign=GAP_BELOW)
-    rows.append(_row(
-        "logarithm deficit envelope",
-        "inf of ((x-1) - ln x)(|x-1|^-1 + |x-1|^-2) on [1/2, inf)",
-        m.value, 0.5, m,
-    ))
-
-    root = make_function("sqrt", 1.0)
-    root_flat = linear_shift(root, 0.5)
-    m = sup_ratio_upper(root_flat, 2.0, 2.0)
-    rows.append(_row(
-        "square-root curvature coefficient",
-        "2 sup |sqrt x - 1 - (x-1)/2| / (2(x-1)^2) on [0, inf)",
-        2.0 * m.value, 0.5, m,
-    ))
-    m = inf_ratio_lower(root_flat, 2.0, 1.0, sign=GAP_BELOW)
-    rows.append(_row(
-        "square-root deficit envelope",
-        "inf of (1 + (x-1)/2 - sqrt x)(|x-1|^-1 + |x-1|^-2) on [0, inf)",
-        m.value, 0.125, m,
-    ))
-
-    quartic = make_function("pow4", 1.0)
-    quartic_flat = linear_shift(quartic, 4.0)
-    m = sup_ratio_upper(quartic_flat, 2.0, 4.0)
-    rows.append(_row(
-        "quartic mixed envelope",
-        "sup |x^4 - 1 - 4(x-1)| / ((x-1)^2 + (x-1)^4), alpha = 2, n = 4",
-        m.value, 0.5 * (7.0 + math.sqrt(41.0)), m,
-    ))
-    m = inf_ratio_lower(quartic_flat, 2.0, 2.0, sign=GAP_ABOVE)
-    rows.append(_row(
-        "quartic excess envelope",
-        "inf of 2(x^4 - 1 - 4(x-1)) / (x-1)^2; yields gap >= 2 sigma_1^2",
-        m.value, 4.0, m,
-    ))
-
+    root_flat = linear_shift(make_function("sqrt", 1.0), 0.5)
+    quartic_flat = linear_shift(make_function("pow4", 1.0), 4.0)
+    # (name, detail, solve, factor on the solved constant, reference, cap);
+    # the solves run in this order, each through this module's solver names
+    table = [
+        ("sine cubic envelope",
+         "sup |sin x - x| / (2|x|^3) near 0; bound coefficient on sigma_3^3",
+         lambda: sup_ratio_upper(sine_flat, 3.0, 3.0), 1.0, 1.0 / 12.0, None),
+        ("sine quadratic envelope",
+         "sup |sin x - x| / (2x^2), attained where the slope matches",
+         lambda: sup_ratio_upper(sine_flat, 2.0, 2.0), 1.0, 0.5 / math.pi, None),
+        ("sine linear envelope",
+         "sup |sin x| / (2|x|); gives |gap| <= sigma_1 with no shift",
+         lambda: sup_ratio_upper(sine, 1.0, 1.0), 1.0, 0.5, None),
+        ("cosine curvature coefficient",
+         "2 sup |cos x - 1| / (2x^2): coefficient of sigma_2^2",
+         lambda: sup_ratio_upper(cosine, 2.0, 2.0), 2.0, 0.5, None),
+        ("logarithm curvature coefficient",
+         "2 sup |ln x - (x-1)| / (2(x-1)^2) on [1/2, inf): coefficient of "
+         "sigma_2^2, strictly below the crude left-endpoint cap 1/(2a^2)",
+         lambda: sup_ratio_upper(log_flat, 2.0, 2.0), 2.0,
+         log_coefficient_reference(a), 0.5 / a ** 2),
+        ("logarithm deficit envelope",
+         "inf of ((x-1) - ln x)(|x-1|^-1 + |x-1|^-2) on [1/2, inf)",
+         lambda: inf_ratio_lower(log_flat, 2.0, 1.0, sign=GAP_BELOW), 1.0, 0.5, None),
+        ("square-root curvature coefficient",
+         "2 sup |sqrt x - 1 - (x-1)/2| / (2(x-1)^2) on [0, inf)",
+         lambda: sup_ratio_upper(root_flat, 2.0, 2.0), 2.0, 0.5, None),
+        ("square-root deficit envelope",
+         "inf of (1 + (x-1)/2 - sqrt x)(|x-1|^-1 + |x-1|^-2) on [0, inf)",
+         lambda: inf_ratio_lower(root_flat, 2.0, 1.0, sign=GAP_BELOW), 1.0, 0.125,
+         None),
+        ("quartic mixed envelope",
+         "sup |x^4 - 1 - 4(x-1)| / ((x-1)^2 + (x-1)^4), alpha = 2, n = 4",
+         lambda: sup_ratio_upper(quartic_flat, 2.0, 4.0), 1.0,
+         0.5 * (7.0 + math.sqrt(41.0)), None),
+        ("quartic excess envelope",
+         "inf of 2(x^4 - 1 - 4(x-1)) / (x-1)^2; yields gap >= 2 sigma_1^2",
+         lambda: inf_ratio_lower(quartic_flat, 2.0, 2.0, sign=GAP_ABOVE), 1.0, 4.0,
+         None),
+    ]
+    rows = []
+    for name, detail, solve, factor, reference, cap in table:
+        m = solve()
+        computed = factor * m.value
+        row = {
+            "name": name,
+            "detail": detail,
+            "computed": float(computed),
+            "reference": float(reference),
+            "rel_err": abs(computed - reference) / abs(reference),
+            "argument": m.arg,
+            "location": m.location,
+        }
+        if cap is not None:
+            row["cap"] = float(cap)
+        rows.append(row)
     return rows

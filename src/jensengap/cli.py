@@ -424,7 +424,7 @@ def cmd_sweep(args):
 
     if mode == "two_point":
         sigmas = _parse_grid(opts["grid"] or "0.4,0.2,0.1,0.05")
-        result = two_point_sweep(f, sigmas, alpha=alpha, n=n, seed=opts["seed"])
+        result = two_point_sweep(f, sigmas, alpha=alpha, n=n)
     else:
         # whole numbers only: mean_of_n_sweep rejects 4.5 rather than
         # truncating it

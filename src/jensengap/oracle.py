@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .distributions import DEFAULT_GAP_SAMPLES, DEFAULT_NODES
 from .errors import DomainError, InvalidParameterError
-from .functions import eval_many, evaluate
+from .functions import GAP_BELOW, eval_many, evaluate
 from .serialize import encode_float
 
 
@@ -58,8 +58,8 @@ class GapEstimate:
 class VerifyResult:
     """Verdict of a bound-versus-gap comparison.
 
-    ``margin`` is the distance to the deciding boundary: slack remaining on
-    a pass, violation size on a fail, overlap width when inconclusive.
+    ``margin`` is the distance to the deciding boundary: slack left on a pass,
+    violation size on a fail, the error bar's width (2 err) when inconclusive.
     """
 
     verdict: str
@@ -110,60 +110,46 @@ def _slack(value):
     return _BOUNDARY_SLACK * max(1.0, abs(value))
 
 
+# Detail texts per claim on pass, fail and inconclusive; lo, hi, margin fill them.
+_DETAILS = {
+    "upper": ("|J| <= {hi:.9g}",
+              "|J| exceeds the upper bound {hi:.9g} by {margin:.3g}",
+              "error bar straddles the upper bound"),
+    "interval": ("J inside [{lo:.9g}, {hi:.9g}]", "J escapes [{lo:.9g}, {hi:.9g}]",
+                 "error bar straddles an interval endpoint"),
+    "lower": ("signed gap >= lower bound {lo:.9g}",
+              "signed gap falls short of the lower bound {lo:.9g} by {margin:.3g}",
+              "error bar straddles the lower bound"),
+}
+
+
 def verify(report, gap):
     """Check a gap estimate against a bound report.
 
-    pass: the whole error bar sits on the claimed side.  fail: the whole
-    error bar sits on the wrong side.  inconclusive: the bar straddles the
-    bound.  Reports centered at a different mean are rejected.
+    Each report claims one statistic of the gap lies in [lo_b, hi_b]: |J| for
+    upper kinds, J for the variance interval, s*J for lower kinds (s the sign).
+    pass, fail or inconclusive as its error bar sits inside, outside or across
+    an end.  Reports centered at a different mean are rejected.
     """
     if not math.isclose(report.mu, gap.mu, rel_tol=1e-9, abs_tol=1e-9):
         raise InvalidParameterError(
             f"bound is centered at {report.mu} but the gap was computed "
             f"about {gap.mu}; they do not refer to the same problem"
         )
-    err = gap.abs_error + report.uncertainty
-
     if report.kind in ("upper", "general_upper"):
-        bound = report.value
-        lo, hi = abs(gap.value) - err, abs(gap.value) + err
-        if hi <= bound + _slack(bound):
-            return VerifyResult("pass", bound - hi, f"|J| <= {bound:.9g}")
-        if lo > bound + _slack(bound):
-            return VerifyResult(
-                "fail", lo - bound,
-                f"|J| exceeds the upper bound {bound:.9g} by {lo - bound:.3g}",
-            )
-        return VerifyResult("inconclusive", hi - lo,
-                            "error bar straddles the upper bound")
-
-    if report.kind == "variance_interval":
-        lo_b, hi_b = report.value
-        lo, hi = gap.value - err, gap.value + err
-        if lo >= lo_b - _slack(lo_b) and hi <= hi_b + _slack(hi_b):
-            margin = min(hi_b - hi, lo - lo_b)
-            return VerifyResult("pass", margin,
-                                f"J inside [{lo_b:.9g}, {hi_b:.9g}]")
-        if hi < lo_b - _slack(lo_b) or lo > hi_b + _slack(hi_b):
-            out = max(lo_b - hi, lo - hi_b)
-            return VerifyResult("fail", out,
-                                f"J escapes [{lo_b:.9g}, {hi_b:.9g}]")
-        return VerifyResult("inconclusive", err,
-                            "error bar straddles an interval endpoint")
-
-    # Lower-bound kinds claim s*J >= value in the declared sign direction.
-    sign = dict(report.params).get("sign", "gap_above")
-    s = -1.0 if sign == "gap_below" else 1.0
-    bound = report.value
-    lo, hi = s * gap.value - err, s * gap.value + err
-    if lo >= bound - _slack(bound):
-        return VerifyResult("pass", lo - bound,
-                            f"signed gap >= lower bound {bound:.9g}")
-    if hi < bound - _slack(bound):
-        return VerifyResult(
-            "fail", bound - hi,
-            f"signed gap falls short of the lower bound {bound:.9g} "
-            f"by {bound - hi:.3g}",
-        )
-    return VerifyResult("inconclusive", hi - lo,
-                        "error bar straddles the lower bound")
+        claim, stat, lo_b, hi_b = "upper", abs(gap.value), -math.inf, report.value
+    elif report.kind == "variance_interval":
+        claim, stat, (lo_b, hi_b) = "interval", gap.value, report.value
+    else:
+        s = -1.0 if dict(report.params).get("sign") == GAP_BELOW else 1.0
+        claim, stat, lo_b, hi_b = "lower", s * gap.value, report.value, math.inf
+    err = gap.abs_error + report.uncertainty
+    lo, hi = stat - err, stat + err
+    if lo >= lo_b - _slack(lo_b) and hi <= hi_b + _slack(hi_b):
+        verdict, margin, text = "pass", min(hi_b - hi, lo - lo_b), 0
+    elif hi < lo_b - _slack(lo_b) or lo > hi_b + _slack(hi_b):
+        verdict, margin, text = "fail", max(lo_b - hi, lo - hi_b), 1
+    else:
+        verdict, margin, text = "inconclusive", hi - lo, 2
+    detail = _DETAILS[claim][text].format(lo=lo_b, hi=hi_b, margin=margin)
+    return VerifyResult(verdict, margin, detail)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import jensengap.bounds as bounds
 import jensengap.cli as cli
 from jensengap.bounds import (
     general_bounds,
@@ -13,7 +14,14 @@ from jensengap.bounds import (
     valid_holder_q,
     variance_interval,
 )
-from jensengap.distributions import Discrete, Gaussian, two_point
+from jensengap.distributions import (
+    Discrete,
+    Gaussian,
+    Laplace,
+    Uniform,
+    mean_of_n,
+    two_point,
+)
 from jensengap.envelope import inf_ratio_lower, sup_ratio_upper
 from jensengap.errors import InvalidParameterError
 from jensengap.functions import (
@@ -240,12 +248,32 @@ def test_general_lower_matches_cauchy_schwarz():
 
 
 def test_general_lower_tuple_power_matches_holder_single():
+    # one Hoelder spec serves both, so they agree to the last bit; the
+    # general expansion lists its orders falling, the Hoelder one rising
     f = flat_quartic()
-    dist = Discrete(((0.0, 0.3), (1.2, 0.5), (2.0, 0.2)))
-    M = inf_ratio_lower(f, 2.0, 1.0, sign=GAP_ABOVE)
-    direct = lower_bound_holder_single(M, dist, 2.0, 1.0, 2)
-    general = general_bounds(f, dist, [(1.0, 1.0), (2.0, 1.0)], "lower", k=2)
-    assert general.value == pytest.approx(direct.value, rel=1e-9)
+    laws = [Discrete(((0.0, 0.3), (1.2, 0.5), (2.0, 0.2))), Gaussian(1.0, 0.5),
+            Laplace(1.0, 0.4), Uniform(0.5, 1.5), mean_of_n(Uniform(0.5, 1.5), 16)]
+    for beta in (1.0, 1.5, 0.3, 1.7):
+        M = inf_ratio_lower(f, 2.0, beta, sign=GAP_ABOVE)
+        for dist in laws:
+            for k in range(1, 11):
+                direct = lower_bound_holder_single(M, dist, 2.0, beta, k)
+                general = general_bounds(f, dist, [(beta, 1.0), (2.0, 1.0)],
+                                         "lower", k=k)
+                assert general.value == direct.value, (beta, dist.variant, k)
+                assert general.uncertainty == direct.uncertainty
+                assert (sorted(m.p for m in general.moments_used)
+                        == sorted(m.p for m in direct.moments_used))
+
+
+def test_general_lower_refuses_the_expansion_cap_before_solving(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the envelope was solved before the cap refused")
+
+    monkeypatch.setattr(bounds, "sup_ratio_general", unreachable)
+    terms = [(0.5 + 0.1 * i, 1.0) for i in range(20)]
+    with pytest.raises(InvalidParameterError, match="expands past 100000"):
+        general_bounds(flat_sine(), two_point(0.0, 0.3), terms, "lower", k=10)
 
 
 def test_general_upper_single_term():
@@ -296,3 +324,13 @@ def test_monte_carlo_orders_share_one_batch(monkeypatch):
     for mv in report.moments_used:
         alone = dist.abs_central_moment(mv.p, seed=2, samples=4000)
         assert mv.method == "monte_carlo" and mv == alone
+
+
+def test_power_sum_overflow_reads_inf():
+    # the exact sum of two finite terms passes a double: the bound is inf,
+    # a valid if trivial claim, as a plain float sum gives
+    terms = [(2.0, 1.5e8), (2.0001, 1e8)]
+    report = general_bounds(make_function("cos", 0.0), two_point(0.0, 1e150),
+                            terms, "upper")
+    assert all(math.isfinite(m.sigma_p_pow) for m in report.moments_used)
+    assert report.value == math.inf

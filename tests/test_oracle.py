@@ -22,7 +22,7 @@ from jensengap.functions import (
     linear_shift,
     make_function,
 )
-from jensengap.oracle import jensen_gap, verify
+from jensengap.oracle import GapEstimate, jensen_gap, verify
 
 
 def test_discrete_gap_is_exact():
@@ -209,3 +209,89 @@ def test_mean_outside_domain_rejected():
     # laplace support covers negatives, outside sqrt's domain
     with pytest.raises(DomainError):
         jensen_gap(f, heavy)
+
+
+def _three_branch_verify(report, gap):
+    """The per-kind verdicts that ``verify`` replaced with one interval rule,
+    kept as the reference it must reproduce."""
+    def slack(v):
+        return 1e-12 * max(1.0, abs(v))
+
+    err = gap.abs_error + report.uncertainty
+    if report.kind in ("upper", "general_upper"):
+        bound = report.value
+        lo, hi = abs(gap.value) - err, abs(gap.value) + err
+        if hi <= bound + slack(bound):
+            return "pass", bound - hi, f"|J| <= {bound:.9g}"
+        if lo > bound + slack(bound):
+            return ("fail", lo - bound,
+                    f"|J| exceeds the upper bound {bound:.9g} by {lo - bound:.3g}")
+        return "inconclusive", hi - lo, "error bar straddles the upper bound"
+    if report.kind == "variance_interval":
+        lo_b, hi_b = report.value
+        lo, hi = gap.value - err, gap.value + err
+        if lo >= lo_b - slack(lo_b) and hi <= hi_b + slack(hi_b):
+            return ("pass", min(hi_b - hi, lo - lo_b),
+                    f"J inside [{lo_b:.9g}, {hi_b:.9g}]")
+        if hi < lo_b - slack(lo_b) or lo > hi_b + slack(hi_b):
+            return ("fail", max(lo_b - hi, lo - hi_b),
+                    f"J escapes [{lo_b:.9g}, {hi_b:.9g}]")
+        return "inconclusive", err, "error bar straddles an interval endpoint"
+    s = -1.0 if dict(report.params).get("sign", "gap_above") == "gap_below" else 1.0
+    bound = report.value
+    lo, hi = s * gap.value - err, s * gap.value + err
+    if lo >= bound - slack(bound):
+        return "pass", lo - bound, f"signed gap >= lower bound {bound:.9g}"
+    if hi < bound - slack(bound):
+        return ("fail", bound - hi,
+                f"signed gap falls short of the lower bound {bound:.9g} "
+                f"by {bound - hi:.3g}")
+    return "inconclusive", hi - lo, "error bar straddles the lower bound"
+
+
+def _random_end(rng, g, err):
+    """A claimed interval end: half of them on an end of the error bar of
+    g, +g or |g| to within an ulp-sized nudge (the slack's territory), the
+    rest spread wide."""
+    if rng.random() < 0.5:
+        near = [s * g + t * err for s in (1.0, -1.0) for t in (1.0, -1.0)]
+        near += [abs(g) + err, abs(g) - err]
+        return near[rng.integers(len(near))] * (1.0 + rng.choice([-1e-13, 0.0, 1e-13]))
+    return float(rng.normal(scale=2.0 * abs(g) + 1e-3))
+
+
+def test_verify_matches_the_three_branch_rule():
+    rng = np.random.default_rng(20240611)
+    kinds = ["upper", "general_upper", "variance_interval", "lower_cauchy_schwarz",
+             "lower_holder", "lower_holder_single", "general_lower"]
+    errors = [0.0, 0.0, 1e-13, 1e-3, 0.3, 1e200]
+    seen = set()
+    for _ in range(4000):
+        kind = kinds[rng.integers(len(kinds))]
+        g = float(rng.normal(scale=10.0 ** rng.integers(-3, 3)))
+        gap_err = errors[rng.integers(len(errors))]
+        unc = errors[rng.integers(len(errors))]
+        err = gap_err + unc
+        if kind == "variance_interval":
+            lo_b, hi_b = sorted((_random_end(rng, g, err), _random_end(rng, g, err)))
+            value = (-math.inf if rng.random() < 0.2 else lo_b,
+                     math.inf if rng.random() < 0.2 else hi_b)
+            params = ()
+        else:
+            value = _random_end(rng, g, err)
+            sign = rng.choice(["gap_above", GAP_BELOW, "none"])
+            params = (("alpha", 2.0),) + (() if sign == "none" else (("sign", str(sign)),))
+        report = BoundReport(kind=kind, value=value, mu=0.0, envelope=None,
+                             moments_used=(), params=params, valid=True,
+                             uncertainty=unc)
+        gap = GapEstimate(value=g, method="exact_sum", abs_error=gap_err,
+                          count=1, mu=0.0)
+        verdict, margin, detail = _three_branch_verify(report, gap)
+        if kind == "variance_interval" and verdict == "inconclusive":
+            # the one declared change: the margin is the bar's width
+            margin = (g + err) - (g - err)
+        out = verify(report, gap)
+        assert (out.verdict, out.detail) == (verdict, detail), (report, gap)
+        assert out.margin == margin or (math.isnan(out.margin) and math.isnan(margin))
+        seen.add((kind, verdict))
+    assert len(seen) == 3 * len(kinds)
