@@ -28,7 +28,7 @@ from .envelope import (
     check_terms,
     sup_ratio_general,
 )
-from .errors import InvalidParameterError
+from .errors import EvaluationError, InvalidParameterError
 from .functions import GAP_ABOVE
 from .serialize import encode_float
 
@@ -140,6 +140,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     ``moments_used`` lists them in.  Every bound kind except the variance
     interval is one such spec; exact sums make it blind to term order.
     ``loose``, a formula of the m_r values, gives the report's ``loose_value``.
+    A power that overflows a double raises EvaluationError.
     """
     mean = _check_mean(M.mu, dist)
     orders = [r for _, r in num + den if r is not None]
@@ -150,9 +151,14 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
         bottom = _fsum(c * (1.0 if r is None else m[r]) for c, r in den)
         return M.value * top ** power / bottom ** root
 
-    value, unc = _evaluate_with_uncertainty(formula, moments)
-    if loose is not None:
-        loose, _ = _evaluate_with_uncertainty(loose, moments)
+    try:
+        value, unc = _evaluate_with_uncertainty(formula, moments)
+        if loose is not None:
+            loose, _ = _evaluate_with_uncertainty(loose, moments)
+    except OverflowError:
+        raise EvaluationError(
+            f"the {kind} bound on this {dist.variant} distribution "
+            "overflows a double") from None
     return BoundReport(
         kind=kind,
         value=value,

@@ -494,8 +494,20 @@ def _comparison_terms(decl):
     return ((decl.beta, 1.0), (decl.alpha, 1.0))
 
 
+def _memo(f, key, solve):
+    """``f._solved[key]``, calling ``solve()`` and keeping its result on
+    first use.  A solve that raises keeps nothing, so the next call raises
+    again."""
+    if key not in f._solved:
+        f._solved[key] = solve()
+    return f._solved[key]
+
+
 def _declared_envelope(f, decl, terms, role, params):
-    """Screen the declared growth and solve its envelope constant.
+    """Screen the declared growth and solve its envelope constant, once per
+    FunctionSpec: the constant is kept in ``f._solved`` under everything the
+    solve reads, so a later call with the same arguments returns the same
+    object without calling the rule.
 
     Upper role: sup over x != mu of |f(x) - f(mu)| / sum_eta a_eta |x-mu|^eta.
     Lower role: inf over x != mu of the signed deviation (per ``decl.sign``)
@@ -504,6 +516,11 @@ def _declared_envelope(f, decl, terms, role, params):
     multiplying by the sum.  An infimum indistinguishable from zero raises
     DegenerateEnvelopeError.
     """
+    return _memo(f, (role, decl, terms, params),
+                 lambda: _solve_declared(f, decl, terms, role, params))
+
+
+def _solve_declared(f, decl, terms, role, params):
     fmu = evaluate(f, f.mu)
     upper = decl.role == "upper"
     flip = -1.0 if decl.sign == GAP_BELOW else 1.0
@@ -573,13 +590,12 @@ def curvature_envelope(f):
     infinite; that is reported as a value of +/-inf with the escape location,
     not as an error, since the other side can still give a one-sided bound.
 
-    The pair is solved once per FunctionSpec and kept on it, so every later
-    call on the same spec returns the same constants without calling the
-    rule.  A solve that raises keeps nothing and raises again next time.
+    The pair is solved once per FunctionSpec and kept on it, as every
+    envelope constant is, so every later call on the same spec returns the
+    same constants without calling the rule.  A solve that raises keeps
+    nothing and raises again next time.
     """
-    if "curvature" not in f._solved:
-        f._solved["curvature"] = _solve_curvature(f)
-    return f._solved["curvature"]
+    return _memo(f, "curvature", lambda: _solve_curvature(f))
 
 
 def _solve_curvature(f):

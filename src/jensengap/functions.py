@@ -102,9 +102,11 @@ class FunctionSpec:
     ``slope_at_mu`` is the analytic derivative at mu when one is known; for
     a convex kink it is the midpoint of the subgradient interval.
 
-    ``_solved`` holds the curvature envelope once ``curvature_envelope`` has
-    solved it; it takes no part in equality or hashing, and a spec made by
-    ``dataclasses.replace`` or ``linear_shift`` starts without it.
+    ``_solved`` holds every envelope constant solved for this spec (the
+    curvature pair and each declared or general constant, keyed by what
+    its solve reads), so each is computed once per spec.  It takes no part
+    in equality or hashing, and a spec made by ``dataclasses.replace`` or
+    ``linear_shift`` starts without it.
     """
 
     label: str

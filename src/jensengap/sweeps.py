@@ -49,10 +49,11 @@ def fit_loglog_slope(xs, ys):
 def two_point_sweep(f: FunctionSpec, sigmas, *, alpha=2.0, n=2.0):
     """Gap and upper bound on two_point(mu, sigma) across a sigma grid.
 
-    The envelope constant is computed once; each row then carries the
-    oracle gap, the bound, and gap/sigma^alpha, whose limit as sigma -> 0
-    is the scaled second derivative when alpha = n = 2.  A two-point law
-    is an exact sum, so nothing here is sampled.
+    The envelope constant is computed once per spec and kept on ``f``, so
+    a second sweep reuses it; each row then carries the oracle gap, the
+    bound, and gap/sigma^alpha, whose limit as sigma -> 0 is the scaled
+    second derivative when alpha = n = 2.  A two-point law is an exact
+    sum, so nothing here is sampled.
     """
     sigmas = [float(s) for s in sigmas]
     if len(sigmas) < MIN_FIT_POINTS:
@@ -87,9 +88,11 @@ def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
 
     |J| tracks the variance of the sample mean, so the fitted slope of
     log|gap| against log N sits near -1 for smooth f.  A degenerate base
-    gives zero gaps everywhere and slope 0.  ``samples`` sizes the Monte
-    Carlo gaps and moments of bases that have no exact route (discrete,
-    empirical and nested means); the exact routes ignore it.
+    gives zero gaps everywhere and slope 0.  The envelope constant is
+    computed once per spec and kept on ``f``, so sweeps over other bases or
+    grids reuse it.  ``samples`` sizes the Monte Carlo gaps and moments of
+    bases that have no exact route (discrete, empirical and nested means);
+    the exact routes ignore it.
     """
     ns = [check_count(v, "N grid entry") for v in ns]
     if len(ns) < MIN_FIT_POINTS:

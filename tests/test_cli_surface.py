@@ -139,7 +139,12 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
      "order-2"),
     (["bound", "--kind", "holder", "--alpha", "2", "--beta", "2", "--k", "1",
       "--q", "2.5", "--function", SQUARE, "--dist", LAPLACE], "q must be"),
-], ids=["overflowing_moment", "fractional_q"])
+    # m_1 = 1e160 is a finite moment, but the bound's m_1^2 overflows
+    (["bound", "--kind", "lower", "--alpha", "2", "--beta", "2",
+      "--function", SQUARE,
+      "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e160}'],
+     "lower_cauchy_schwarz bound"),
+], ids=["overflowing_moment", "fractional_q", "overflowing_bound"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from jensengap.bounds import upper_bound, variance_interval
-from jensengap.distributions import Discrete, two_point
+from jensengap import envelope
+from jensengap.bounds import general_bounds, upper_bound, variance_interval
+from jensengap.distributions import Discrete, Gaussian, Uniform, two_point
 from jensengap.envelope import (
     AT_INFINITY,
     AT_MU,
@@ -28,14 +29,17 @@ from jensengap.errors import (
 from jensengap.functions import (
     GAP_ABOVE,
     GAP_BELOW,
+    GrowthDeclaration,
     Interval,
     custom_function,
     eval_many,
     evaluate,
     linear_shift,
     make_function,
+    validate_growth,
 )
 from jensengap.oracle import jensen_gap, verify
+from jensengap.sweeps import mean_of_n_sweep
 
 
 def flat_sine():
@@ -381,6 +385,116 @@ def test_variance_interval_checks_mean_before_solving():
     f = custom_function(unusable, 0.0)
     with pytest.raises(InvalidParameterError, match="distribution mean is 1.0"):
         variance_interval(f, two_point(1.0, 0.5))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The label of every spec the envelope solver runs on, in call order."""
+    seen = []
+    optimize = envelope._optimize
+
+    def counted(*args, **kwargs):
+        seen.append(args[0].label)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(envelope, "_optimize", counted)
+    return seen
+
+
+def _square():
+    return make_function("polynomial", 0.0, coeffs=(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f: sup_ratio_upper(f, 2.0, 2.0),
+    lambda f: inf_ratio_lower(f, 2.0, 2.0),
+    lambda f: sup_ratio_general(f, ((2.0, 1.0), (4.0, 1.0)), "sup"),
+], ids=["upper", "lower", "general"])
+def test_declared_constant_is_solved_once_per_spec(solves, solve):
+    f = _square()
+    first = solve(f)
+    assert len(solves) == 1
+    assert solve(f) is first
+    assert len(solves) == 1
+
+
+def test_each_declaration_keeps_its_own_constant(solves):
+    f = _square()
+    calls = [
+        lambda: sup_ratio_upper(f, 2.0, 2.0),
+        lambda: sup_ratio_upper(f, 1.0, 2.0),
+        lambda: sup_ratio_upper(f, 2.0, 3.0),
+        # the same declaration and terms as the general sup below
+        lambda: sup_ratio_upper(f, 2.0, 2.5),
+        lambda: sup_ratio_general(f, ((2.0, 1.0), (2.5, 1.0)), "sup"),
+        lambda: sup_ratio_general(f, ((2.0, 1.0), (2.5, 2.0)), "sup"),
+        lambda: sup_ratio_general(f, ((2.0, 1.0), (2.5, 1.0)), "inf"),
+        lambda: inf_ratio_lower(f, 2.0, 2.0),
+        lambda: inf_ratio_lower(f, 2.0, 1.0),
+        lambda: inf_ratio_lower(f, 3.0, 1.0),
+    ]
+    first = [call() for call in calls]
+    again = [call() for call in calls]
+    assert len(solves) == len(calls)
+    assert len({id(m) for m in first}) == len(calls)
+    assert all(b is a for a, b in zip(first, again))
+    assert first[3].role == "upper_sup" and first[4].role == "general_sup"
+    # a sign that fails its screen is not served the other sign's constant
+    for _ in range(2):
+        with pytest.raises(ConditionViolationError):
+            inf_ratio_lower(f, 2.0, 2.0, sign=GAP_BELOW)
+    assert len(solves) == len(calls) + 2
+
+
+def test_validate_growth_keeps_each_declaration_apart(solves):
+    g = flat_sine()
+    decls = [GrowthDeclaration("upper", alpha=3.0, n=3.0),
+             GrowthDeclaration("upper", alpha=3.0, n=4.0),
+             GrowthDeclaration("upper", alpha=4.0, n=4.0)]
+    f = _square()
+    signs = [GrowthDeclaration("lower", alpha=2.0, beta=2.0, sign=sign)
+             for sign in (GAP_ABOVE, GAP_BELOW)]
+    for _ in range(2):
+        reports = [validate_growth(g, d) for d in decls]
+        assert reports[0].passed and reports[1].passed
+        assert reports[0].worst_ratio != reports[1].worst_ratio
+        assert not reports[2].passed
+        assert [validate_growth(f, d).passed for d in signs] == [True, False]
+    # the two failing declarations store nothing, so the second pass
+    # screens them again and only them
+    assert len(solves) == 5 + 2
+
+
+def test_raising_solve_keeps_nothing(solves):
+    f = _square()
+    for _ in range(2):
+        with pytest.raises(UnboundedEnvelopeError):
+            sup_ratio_upper(f, 1.0, 1.0)
+    assert len(solves) == 2
+    assert f._solved == {}
+
+
+def test_twin_specs_start_without_constants(solves):
+    f = _square()
+    solved = sup_ratio_upper(f, 2.0, 2.0)
+    for g in (dataclasses.replace(f), linear_shift(f, 0.0)):
+        assert g._solved == {}
+        again = sup_ratio_upper(g, 2.0, 2.0)
+        assert again is not solved and again.value == solved.value
+    assert len(solves) == 3
+
+
+def test_sweeps_and_general_bounds_solve_once(solves):
+    cos = make_function("cos", 0.0)
+    for _ in range(2):
+        mean_of_n_sweep(cos, Uniform(-1.0, 1.0), (2, 4, 8, 16), seed=1)
+    assert solves == ["cos"]
+    f = _square()
+    dist = Gaussian(0.0, 0.5)
+    for k in range(1, 11):
+        general_bounds(f, dist, ((1.0, 1.0), (2.0, 1.0)), "lower", k=k)
+    general_bounds(f, dist, ((1.0, 1.0), (2.0, 1.0)), "lower")
+    assert len(solves) == 2
 
 
 # ---------------------------------------------------------------------------
