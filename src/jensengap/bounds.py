@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from .distributions import (
     DEFAULT_MOMENT_SAMPLES,
     DEFAULT_NODES,
+    check_count,
 )
 from .envelope import (
     curvature_envelope,
@@ -154,7 +155,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     try:
         value, unc = _evaluate_with_uncertainty(formula, moments)
         if loose is not None:
-            loose, _ = _evaluate_with_uncertainty(loose, moments)
+            loose = float(loose({p: mv.sigma_p_pow for p, mv in moments.items()}))
     except OverflowError:
         raise EvaluationError(
             f"the {kind} bound on this {dist.variant} distribution "
@@ -226,25 +227,24 @@ def valid_holder_q(k):
 def check_holder_split(k, q):
     """(k, q) as ints; InvalidParameterError unless q >= 2 divides k+1."""
     k = _check_k(k)
-    if not _is_whole(q) or q < 2 or (k + 1) % int(q) != 0:
+    try:
+        whole = check_count(q, "q")
+    except InvalidParameterError:
+        whole = 0
+    if whole < 2 or (k + 1) % whole != 0:
         raise InvalidParameterError(
             f"q must be a divisor of k+1 = {k + 1} with q >= 2, got {q!r}"
         )
-    return k, int(q)
-
-
-def _is_whole(x):
-    return math.isfinite(x) and int(x) == x
+    return k, whole
 
 
 def _check_k(k):
-    if not _is_whole(k) or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+    k = check_count(k, "k")
     if k > MAX_HOLDER_K:
         raise InvalidParameterError(
             f"k = {k} exceeds the supported maximum {MAX_HOLDER_K}"
         )
-    return int(k)
+    return k
 
 
 def _expand(terms, alpha, degree, first):

@@ -29,13 +29,13 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, InvalidParameterError
-from .functions import _NUMBER, _NUMBERS, Interval, _read_fields, _real
+from .functions import _NUMBER, _NUMBERS, Interval, _apply_rule, _read_fields, _real
 from .rng import resolve_seed, stream
 
 PROB_SUM_TOL = 1e-12
@@ -91,8 +91,7 @@ class MomentValue:
     abs_error_estimate: float
 
     def to_dict(self):
-        return {"p": self.p, "sigma_p": self.sigma_p, "sigma_p_pow": self.sigma_p_pow,
-                "method": self.method, "abs_error_estimate": self.abs_error_estimate}
+        return asdict(self)
 
 
 def _moment(p, pow_value, method, abs_error):
@@ -111,12 +110,20 @@ def _check_order(p):
 def check_count(n, what="n"):
     """``n`` as an int; InvalidParameterError unless it is a whole number >= 1.
 
-    A bool is not a count, and 2.7 is not rounded down: both are rejected.
+    The one rule for every count: N, the Hoelder split (k, q), ``nodes``
+    and ``samples``.  A bool, a string or 2.7 is not a count: all are rejected.
     """
     if (isinstance(n, bool) or not isinstance(n, numbers.Real)
             or not math.isfinite(n) or n < 1 or n != int(n)):
         raise InvalidParameterError(f"{what} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _draw_count(samples):
+    """``samples`` as a count of at least 2 draws, the least a CLT error bar takes."""
+    if check_count(samples, "samples") < 2:
+        raise InvalidParameterError("samples must be at least 2 for a Monte Carlo error bar")
+    return int(samples)
 
 
 def _binomial_convolve(a, b):
@@ -140,19 +147,6 @@ def _blockwise(fn, xs, width):
     mixture terms of the Laplace mean)."""
     step = max(1, _OUTER_CELLS // width)
     return np.concatenate([fn(xs[i:i + step]) for i in range(0, xs.size, step)])
-
-
-def _apply(g, xs):
-    """Apply a scalar-or-vector callable to an array of points."""
-    try:
-        vals = np.asarray(g(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([float(g(x)) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("non-finite function value inside the support")
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def _gauss_kronrod(h, a, mid, b, nodes):
     subintervals are bisected first and the summed estimate is returned as
     it stands, however large.
     """
-    nodes = int(nodes)
+    nodes = check_count(nodes, "nodes")
     if nodes < MIN_NODES:
         raise InvalidParameterError(
             f"nodes must be at least {MIN_NODES} (one {_RULE_POINTS}-point rule "
@@ -270,7 +264,9 @@ class Distribution(ABC):
     @abstractmethod
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, growth_hint=None):
-        """E[g(X)] as an Expectation tuple."""
+        """E[g(X)] as an Expectation tuple.  ``nodes`` (quadrature, at least
+        MIN_NODES) and ``samples`` (Monte Carlo, at least 2) are counts,
+        checked by ``check_count`` only on the route that uses them."""
 
     @abstractmethod
     def to_dict(self):
@@ -294,14 +290,15 @@ class Distribution(ABC):
 
         Orders that take the Monte Carlo route share one batch of draws
         (purpose "moments"), drawn at most once per call, so empirical
-        moment inequalities hold exactly between the estimates.  A moment
-        that overflows a double raises EvaluationError.
+        moment inequalities hold exactly between the estimates; ``samples``
+        and ``nodes`` are counts, checked as ``expect`` checks them.  A
+        moment that overflows a double raises EvaluationError.
         """
         batch = []
 
         def draws():
             if not batch:
-                batch.append(self.sample(samples, seed, purpose="moments"))
+                batch.append(self.sample(_draw_count(samples), seed, purpose="moments"))
             return batch[0]
 
         out = {}
@@ -396,7 +393,7 @@ class Discrete(Distribution):
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, growth_hint=None):
-        vals = _apply(g, np.array([x for x, _ in self.points]))
+        vals = _apply_rule(g, np.array([x for x, _ in self.points]), "g")
         total = math.fsum(q * v for (_, q), v in zip(self.points, vals))
         return Expectation(total, 0.0, "exact_sum", len(self.points))
 
@@ -496,7 +493,7 @@ class _NamedContinuous(Distribution):
         mu = self.mean()
         offs = t_offset * _GROWTH_PROBES
         xs = np.concatenate([mu + offs, mu - offs])
-        vals = np.abs(_apply(g, xs))
+        vals = np.abs(_apply_rule(g, xs, "g"))
         if growth_hint is not None:
             k = float(growth_hint)
         else:
@@ -522,7 +519,7 @@ class _NamedContinuous(Distribution):
 
         def integrand(xs):
             nonlocal peak
-            vals = _apply(g, xs)
+            vals = _apply_rule(g, xs, "g")
             if missed:
                 peak = max(peak, float(np.max(np.abs(vals))))
             return vals * pdf(xs)
@@ -832,7 +829,7 @@ class MeanOfN(_NamedContinuous):
             return self._gaussian().expect(g, nodes=nodes, growth_hint=growth_hint)
         if self._has_density():
             return super().expect(g, nodes=nodes, growth_hint=growth_hint)
-        vals = _apply(g, self.sample(int(samples), seed, purpose="gap"))
+        vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), "g")
         return Expectation(*_monte_carlo(vals), "monte_carlo", len(vals))
 
     def _moment_pow(self, p, method, nodes, draws):

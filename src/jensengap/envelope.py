@@ -25,7 +25,7 @@ not a proof.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,11 +100,7 @@ class SolverDiagnostics:
     bracket_width: float
 
     def to_dict(self):
-        return {
-            "probes": self.probes,
-            "refinements": self.refinements,
-            "bracket_width": self.bracket_width,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -154,16 +154,23 @@ def evaluate(f, x):
 
 def eval_many(f, xs):
     """Vectorized evaluation over points already known to lie in the domain."""
+    return _apply_rule(f.rule, xs, f.label)
+
+
+def _apply_rule(rule, xs, label):
+    """``rule`` over the array ``xs``: one vectorized call, or one call per
+    point when the rule refuses an array; EvaluationError naming ``label``
+    unless every value is finite."""
     xs = np.asarray(xs, dtype=float)
     try:
-        vals = np.asarray(f.rule(xs), dtype=float)
+        vals = np.asarray(rule(xs), dtype=float)
         if vals.shape != xs.shape:
             raise ValueError
     except Exception:
-        vals = np.array([float(f.rule(x)) for x in xs])
+        vals = np.array([float(rule(x)) for x in xs])
     if not np.all(np.isfinite(vals)):
         bad = xs[~np.isfinite(vals)][:1]
-        raise EvaluationError(f"{f.label} returned a non-finite value near x = {bad}")
+        raise EvaluationError(f"{label} returned a non-finite value near x = {bad}")
     return vals
 
 

@@ -10,7 +10,7 @@ margin.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .distributions import DEFAULT_GAP_SAMPLES, DEFAULT_NODES
 from .errors import DomainError, InvalidParameterError
@@ -42,16 +42,7 @@ class GapEstimate:
     dist_label: str = ""
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "method": self.method,
-            "abs_error": self.abs_error,
-            "count": self.count,
-            "mu": self.mu,
-            "seed": self.seed,
-            "f_label": self.f_label,
-            "dist_label": self.dist_label,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

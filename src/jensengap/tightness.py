@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import symmetric_outlier, three_point, two_point
+from .distributions import check_count, symmetric_outlier, three_point, two_point
 from .errors import ConditionViolationError, InvalidParameterError
 from .functions import custom_function, make_function
 from .oracle import jensen_gap
@@ -121,9 +121,7 @@ def outlier_ratio_sequence(beta, alpha, k, q, j_max=1024):
     """
     beta = float(beta)
     alpha = float(alpha)
-    if int(k) != k or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = check_count(k, "k")
     m = k * (alpha - beta)
     if not m > 0:
         raise InvalidParameterError(

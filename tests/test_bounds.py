@@ -141,8 +141,9 @@ def test_holder_parameter_rejection():
         lower_bound_holder(M, dist, 2.0, 1.0, 3, 1)
     with pytest.raises(InvalidParameterError):
         lower_bound_holder_single(M, dist, 2.0, 1.0, 2.5)
-    # non-finite k or q: typed errors, not ValueError or OverflowError
-    for bad in (math.nan, math.inf):
+    # k and q are counts: non-finite, bool, string or fractional values are
+    # typed errors, not ValueError, OverflowError, TypeError or silently 1
+    for bad in (math.nan, math.inf, True, "3", 2.5):
         with pytest.raises(InvalidParameterError):
             valid_holder_q(bad)
         with pytest.raises(InvalidParameterError):

@@ -19,6 +19,8 @@ COS = '{"kind": "cos", "mu": 0}'
 SQUARE = '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1]}'
 LAPLACE = '{"variant": "laplace", "mean": 0, "scale": 0.5}'
 UNIFORM = '{"variant": "uniform", "lo": -1, "hi": 1}'
+MEAN_OF_3 = ('{"variant": "mean_of_n", "n": 3, '
+             '"base": {"variant": "two_point", "mu": 0, "sigma": 1}}')
 
 COMMANDS = ("bound", "oracle", "examples", "tightness", "sweep")
 
@@ -144,7 +146,14 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", SQUARE,
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e160}'],
      "lower_cauchy_schwarz bound"),
-], ids=["overflowing_moment", "fractional_q", "overflowing_bound"])
+    # a Monte Carlo mean needs a count of draws, and its error bar two of them
+    (["oracle", "--function", COS, "--dist", MEAN_OF_3, "--samples", "0"],
+     "samples must be a positive integer"),
+    # order 1 of this mean takes the shared Monte Carlo batch of the moments
+    (["bound", "--kind", "upper", "--alpha", "1", "--n", "2", "--function", COS,
+      "--dist", MEAN_OF_3, "--samples", "1"], "samples must be at least 2"),
+], ids=["overflowing_moment", "fractional_q", "overflowing_bound", "zero_samples",
+        "one_sample"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()

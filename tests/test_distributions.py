@@ -30,7 +30,7 @@ from jensengap.distributions import (
     two_point,
 )
 from jensengap.errors import EvaluationError, InvalidParameterError
-from jensengap.functions import make_function
+from jensengap.functions import _apply_rule, make_function
 from jensengap.oracle import jensen_gap
 
 ORDERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -129,7 +129,7 @@ def test_quadrature_route_agrees_with_closed_form():
 def _expect_every_radius(dist, g, nodes, growth_hint):
     """Reference truncation loop: integrate at every radius, keep the first that passes."""
     mu, t_offset = dist.mean(), 12.0 * dist._scale()
-    integrand = lambda xs: distributions._apply(g, xs) * dist._pdf(xs)
+    integrand = lambda xs: _apply_rule(g, xs, "g") * dist._pdf(xs)
     for _ in range(16):
         value, quad_err, evals = distributions._gauss_kronrod(
             integrand, mu - t_offset, mu, mu + t_offset, nodes)
@@ -234,6 +234,18 @@ def test_monte_carlo_route_within_error_bars():
     assert mc.abs_error_estimate > 0
     # 95% interval, checked at 2.5x for slack
     assert abs(mc.sigma_p_pow - exact) <= 2.5 * mc.abs_error_estimate
+
+
+def test_samples_is_a_count_of_at_least_two_where_draws_are_made():
+    avg = mean_of_n(two_point(0.0, 1.0), 3)
+    for bad in (0, 1, 2.5, True, "100"):
+        with pytest.raises(InvalidParameterError, match="samples must be"):
+            avg.abs_central_moment(1.0, samples=bad)
+        with pytest.raises(InvalidParameterError, match="samples must be"):
+            avg.expect(np.cos, samples=bad)
+    # exact routes draw nothing, so they ignore the count
+    assert avg.abs_central_moment(2.0, samples=1).method == "closed_form"
+    assert two_point(0.0, 1.0).expect(np.cos, samples=0).method == "exact_sum"
 
 
 def test_sampling_is_seed_deterministic():

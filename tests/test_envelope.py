@@ -543,8 +543,22 @@ def test_unbounded_when_n_too_small():
 
 
 def test_condition_violation_on_wrong_sign():
-    with pytest.raises(ConditionViolationError):
+    with pytest.raises(ConditionViolationError, match="sign"):
         inf_ratio_lower(make_function("cos", 0.0), 2.0, 2.0, sign=GAP_ABOVE)
+
+
+def test_upper_screen_gives_the_validate_growth_verdicts():
+    # the upper cases of the validate_growth tests in test_functions.py,
+    # read from the solver that screens them
+    sine = flat_sine()
+    assert math.isfinite(sup_ratio_upper(sine, 3.0, 3.0).value)
+    # alpha = n = 4 on a function that only decays cubically near mu
+    with pytest.raises(UnboundedEnvelopeError):
+        sup_ratio_upper(sine, 4.0, 4.0)
+    # f - f(mu) behaves like x near mu, so |f - f(mu)| / |x|^1.5 blows up
+    rising = make_function("polynomial", 0.0, coeffs=(0.0, 1.0, 1.0))
+    with pytest.raises(UnboundedEnvelopeError):
+        sup_ratio_upper(rising, 1.5, 2.0)
 
 
 def _sqrt_hyperbola():

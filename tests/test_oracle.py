@@ -56,6 +56,10 @@ def test_nodes_below_two_rules_rejected():
         jensen_gap(make_function("cos", 0.0), Gaussian(0.0, 0.5), nodes=41)
     with pytest.raises(InvalidParameterError):
         jensen_gap(make_function("cos", 0.0), Uniform(-1.0, 1.0), nodes=41)
+    # nodes is a count: neither truncated nor parsed from a string
+    for bad in (100.7, "64"):
+        with pytest.raises(InvalidParameterError, match="nodes must be a positive integer"):
+            Gaussian(0.0, 0.5).expect(np.cos, nodes=bad)
 
 
 def test_scalar_only_rule_matches_builtin():

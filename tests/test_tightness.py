@@ -110,6 +110,8 @@ def test_outlier_sequence_threshold_rejected():
         outlier_ratio_sequence(2.0, 1.0, 1, 3.0, j_max=8)  # m <= 0
     with pytest.raises(InvalidParameterError):
         outlier_ratio_sequence(1.0, 2.0, 1.5, 3.0, j_max=8)
+    with pytest.raises(InvalidParameterError):
+        outlier_ratio_sequence(1.0, 2.0, True, 3.0, j_max=8)
 
 
 def test_decay_exponent_formula():
