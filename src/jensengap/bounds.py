@@ -31,7 +31,6 @@ from .envelope import (
 )
 from .errors import EvaluationError, InvalidParameterError
 from .functions import GAP_ABOVE
-from .serialize import encode_float
 
 MAX_HOLDER_K = 60
 MAX_DENOMINATOR_TERMS = 100_000
@@ -63,13 +62,9 @@ class BoundReport:
     dist_label: str = ""
 
     def to_dict(self):
-        if isinstance(self.value, tuple):
-            value = [encode_float(v) for v in self.value]
-        else:
-            value = encode_float(self.value)
         return {
             "kind": self.kind,
-            "value": value,
+            "value": self.value,
             "mu": self.mu,
             "envelope": self.envelope.to_dict() if self.envelope else None,
             "envelope_hi": self.envelope_hi.to_dict() if self.envelope_hi else None,
@@ -141,7 +136,8 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     ``moments_used`` lists them in.  Every bound kind except the variance
     interval is one such spec; exact sums make it blind to term order.
     ``loose``, a formula of the m_r values, gives the report's ``loose_value``.
-    A power that overflows a double raises EvaluationError.
+    A value or loose value that overflows a double raises EvaluationError:
+    an inf read off an overflow is not a claim the moments support.
     """
     mean = _check_mean(M.mu, dist)
     orders = [r for _, r in num + den if r is not None]
@@ -156,6 +152,8 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
         value, unc = _evaluate_with_uncertainty(formula, moments)
         if loose is not None:
             loose = float(loose({p: mv.sigma_p_pow for p, mv in moments.items()}))
+        if not all(math.isfinite(v) for v in (value, loose) if v is not None):
+            raise OverflowError
     except OverflowError:
         raise EvaluationError(
             f"the {kind} bound on this {dist.variant} distribution "

@@ -5,7 +5,9 @@ examples (reference-constant reproduction), tightness (sharpness
 constructions), sweep (spread and sample-size scaling).  Options come from
 flags or a JSON config file; flags win.  Output is JSON, CSV, or a plain
 table, always at 9 significant digits, and byte-identical for a fixed
-config and seed.
+config and seed.  Reports hold plain floats; ``fmt`` and ``render_json``
+are the one place where inf, -inf and nan become the text "inf", "-inf"
+and "nan", in every format.
 """
 
 import argparse
@@ -60,7 +62,8 @@ def fmt(x):
 
 
 def _round9(obj):
-    """Round floats to 9 significant digits recursively, for JSON output."""
+    """Round floats to 9 significant digits recursively, for JSON output;
+    non-finite floats become their ``fmt`` text, tuples become lists."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):

@@ -259,7 +259,8 @@ class Distribution(ABC):
 
     @abstractmethod
     def sample(self, count, seed=None, *, purpose="sample"):
-        ...
+        """``count`` draws, a count by ``check_count``, from the ``purpose``
+        stream of ``seed``."""
 
     @abstractmethod
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
@@ -389,7 +390,7 @@ class Discrete(Distribution):
         rng = stream(resolve_seed(seed), purpose)
         xs = np.array([x for x, _ in self.points])
         qs = np.array([q for _, q in self.points])
-        return rng.choice(xs, size=int(count), p=qs / qs.sum())
+        return rng.choice(xs, size=check_count(count, "count"), p=qs / qs.sum())
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, growth_hint=None):
@@ -440,7 +441,7 @@ class Empirical(Discrete):
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
-        return rng.choice(np.asarray(self.samples), size=int(count))
+        return rng.choice(np.asarray(self.samples), size=check_count(count, "count"))
 
     def to_dict(self):
         return {"variant": "empirical", "samples": list(self.samples)}
@@ -610,7 +611,7 @@ class Gaussian(_NamedContinuous):
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
-        return rng.normal(self.mean_value, self.stddev, size=int(count))
+        return rng.normal(self.mean_value, self.stddev, size=check_count(count, "count"))
 
     def to_dict(self):
         return {"variant": "gaussian", "mean": self.mean_value, "stddev": self.stddev}
@@ -648,7 +649,7 @@ class Laplace(_NamedContinuous):
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
-        return rng.laplace(self.mean_value, self.scale, size=int(count))
+        return rng.laplace(self.mean_value, self.scale, size=check_count(count, "count"))
 
     def to_dict(self):
         return {"variant": "laplace", "mean": self.mean_value, "scale": self.scale}
@@ -683,7 +684,7 @@ class Uniform(_NamedContinuous):
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
-        return rng.uniform(self.lo, self.hi, size=int(count))
+        return rng.uniform(self.lo, self.hi, size=check_count(count, "count"))
 
     def to_dict(self):
         return {"variant": "uniform", "lo": self.lo, "hi": self.hi}
@@ -800,7 +801,7 @@ class MeanOfN(_NamedContinuous):
         return self.base.support_interval()
 
     def sample(self, count, seed=None, *, purpose="sample"):
-        count = int(count)
+        count = check_count(count, "count")
         seed = resolve_seed(seed)
         out = np.empty(count)
         rows_per_chunk = max(1, _CHUNK // self.n)

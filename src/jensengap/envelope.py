@@ -44,7 +44,6 @@ from .functions import (
     evaluate,
     select_shift_slope,
 )
-from .serialize import encode_float
 
 # Probe layout: DEFAULT_PROBES_PER_SIDE log-spaced offsets |x - mu| per side,
 # from MIN_OFFSET up to MAX_OFFSET or the end of the domain.
@@ -125,16 +124,9 @@ class EnvelopeConstant:
     f_label: str = ""
 
     def to_dict(self):
-        return {
-            "value": encode_float(self.value),
-            "arg": self.arg,
-            "location": self.location,
-            "role": self.role,
-            "mu": self.mu,
-            "params": {k: v for k, v in self.params},
-            "validated": self.validated,
-            "diag": self.diag.to_dict(),
-        }
+        out = asdict(self)
+        del out["f_label"]
+        return dict(out, params=dict(self.params))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from .distributions import DEFAULT_GAP_SAMPLES, DEFAULT_NODES
 from .errors import DomainError, InvalidParameterError
 from .functions import GAP_BELOW, eval_many, evaluate
-from .serialize import encode_float
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,7 @@ class VerifyResult:
     detail: str
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "margin": encode_float(self.margin),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def jensen_gap(f, dist, *, samples=DEFAULT_GAP_SAMPLES, nodes=DEFAULT_NODES,

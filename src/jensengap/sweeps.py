@@ -46,6 +46,23 @@ def fit_loglog_slope(xs, ys):
     return float(slope)
 
 
+def _sweep(f, grid, alpha, n, dist_at, row_at, **moment_kw):
+    """Solve the envelope once, then one row per grid point in the order
+    given, and the log-log slope of |gap| against the grid."""
+    if len(grid) < MIN_FIT_POINTS:
+        raise InvalidParameterError(
+            f"sweep needs at least {MIN_FIT_POINTS} grid points, got {len(grid)}"
+        )
+    M = sup_ratio_upper(f, alpha, n)
+    rows = []
+    for x in grid:
+        dist = dist_at(x)
+        gap = jensen_gap(f, dist, **moment_kw)
+        rows.append(row_at(x, gap, upper_bound(M, dist, alpha, n, **moment_kw)))
+    slope = fit_loglog_slope(grid, [abs(r["gap"]) for r in rows])
+    return {"rows": rows, "gap_slope": slope, "envelope": M.to_dict()}
+
+
 def two_point_sweep(f: FunctionSpec, sigmas, *, alpha=2.0, n=2.0):
     """Gap and upper bound on two_point(mu, sigma) across a sigma grid.
 
@@ -56,29 +73,15 @@ def two_point_sweep(f: FunctionSpec, sigmas, *, alpha=2.0, n=2.0):
     sum, so nothing here is sampled.
     """
     sigmas = [float(s) for s in sigmas]
-    if len(sigmas) < MIN_FIT_POINTS:
-        raise InvalidParameterError(
-            f"sweep needs at least {MIN_FIT_POINTS} grid points, "
-            f"got {len(sigmas)}"
-        )
-    if any(s <= 0 for s in sigmas):
+    # a short grid is refused first, by _sweep
+    if len(sigmas) >= MIN_FIT_POINTS and any(s <= 0 for s in sigmas):
         raise InvalidParameterError("sigma grid must be positive")
-    M = sup_ratio_upper(f, alpha, n)
-    rows = []
-    for s in sorted(sigmas, reverse=True):
-        dist = two_point(f.mu, s)
-        gap = jensen_gap(f, dist)
-        report = upper_bound(M, dist, alpha, n)
-        rows.append({
-            "sigma": s,
-            "gap": gap.value,
-            "upper": report.value,
-            "ratio": gap.value / s ** alpha,
-        })
-    slope = fit_loglog_slope(
-        [r["sigma"] for r in rows], [abs(r["gap"]) for r in rows]
+    return _sweep(
+        f, sorted(sigmas, reverse=True), alpha, n,
+        lambda s: two_point(f.mu, s),
+        lambda s, gap, report: {"sigma": s, "gap": gap.value, "upper": report.value,
+                                "ratio": gap.value / s ** alpha},
     )
-    return {"rows": rows, "gap_slope": slope, "envelope": M.to_dict()}
 
 
 def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
@@ -95,24 +98,9 @@ def mean_of_n_sweep(f: FunctionSpec, base: Distribution, ns, *,
     the exact routes ignore it.
     """
     ns = [check_count(v, "N grid entry") for v in ns]
-    if len(ns) < MIN_FIT_POINTS:
-        raise InvalidParameterError(
-            f"sweep needs at least {MIN_FIT_POINTS} grid points, got {len(ns)}"
-        )
-    M = sup_ratio_upper(f, alpha, n_growth)
-    rows = []
-    for count in sorted(ns):
-        dist = mean_of_n(base, count)
-        gap = jensen_gap(f, dist, samples=samples, seed=seed)
-        report = upper_bound(
-            M, dist, alpha, n_growth, seed=seed, samples=samples
-        )
-        rows.append({
-            "n": count,
-            "gap": gap.value,
-            "gap_error": gap.abs_error,
-            "upper": report.value,
-        })
-    slope = fit_loglog_slope([r["n"] for r in rows],
-                             [abs(r["gap"]) for r in rows])
-    return {"rows": rows, "gap_slope": slope, "envelope": M.to_dict()}
+    return _sweep(
+        f, sorted(ns), alpha, n_growth, lambda count: mean_of_n(base, count),
+        lambda count, gap, report: {"n": count, "gap": gap.value,
+                                    "gap_error": gap.abs_error, "upper": report.value},
+        samples=samples, seed=seed,
+    )

@@ -23,7 +23,7 @@ from jensengap.distributions import (
     two_point,
 )
 from jensengap.envelope import inf_ratio_lower, sup_ratio_upper
-from jensengap.errors import InvalidParameterError
+from jensengap.errors import EvaluationError, InvalidParameterError
 from jensengap.functions import (
     GAP_ABOVE,
     GAP_BELOW,
@@ -219,6 +219,9 @@ def test_variance_interval_unbounded_side():
     lo, hi = report.value
     assert hi == math.inf
     assert lo == pytest.approx(2.0 * 0.25, rel=1e-6)
+    # records hold plain floats; only the CLI writes them as text
+    d = report.to_dict()
+    assert d["value"][1] == math.inf and d["envelope_hi"]["value"] == math.inf
     gap = jensen_gap(f, Gaussian(1.0, 0.5))
     assert gap.value >= lo
 
@@ -327,11 +330,17 @@ def test_monte_carlo_orders_share_one_batch(monkeypatch):
         assert mv.method == "monte_carlo" and mv == alone
 
 
-def test_power_sum_overflow_reads_inf():
-    # the exact sum of two finite terms passes a double: the bound is inf,
-    # a valid if trivial claim, as a plain float sum gives
+def test_power_sum_overflow_is_evaluation_error():
+    # every moment is finite, but the power sum passes a double; an inf read
+    # off the overflow would be a false lower bound, so every kind raises
+    dist = two_point(0.0, 1e150)
     terms = [(2.0, 1.5e8), (2.0001, 1e8)]
-    report = general_bounds(make_function("cos", 0.0), two_point(0.0, 1e150),
-                            terms, "upper")
-    assert all(math.isfinite(m.sigma_p_pow) for m in report.moments_used)
-    assert report.value == math.inf
+    moments = dist.abs_central_moments([2.0, 2.0001])
+    assert all(math.isfinite(m.sigma_p_pow) for m in moments.values())
+    with pytest.raises(EvaluationError, match="general_upper bound"):
+        general_bounds(make_function("cos", 0.0), dist, terms, "upper")
+    # M = 2e10 and m_1^2 = 1e298 are finite; M m_1^2 is not
+    f = make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1e10])
+    with pytest.raises(EvaluationError, match="lower_cauchy_schwarz bound"):
+        lower_bound_cauchy_schwarz(inf_ratio_lower(f, 2.0, 2.0),
+                                   two_point(0.0, 1e149), 2.0, 2.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -159,6 +160,13 @@ def test_violation_exit_code(capsys, monkeypatch):
     code, _ = run(["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
                    "--function", COS, "--dist", PAIR], capsys)
     assert code == 2
+
+
+def test_render_json_writes_non_finite_numbers_as_text():
+    payload = {"a": math.inf, "b": [-math.inf, (math.nan, 1.0)],
+               "c": {"d": (math.inf,)}}
+    assert json.loads(cli.render_json(payload)) == {
+        "a": "inf", "b": ["-inf", ["nan", 1.0]], "c": {"d": ["inf"]}}
 
 
 def test_output_is_byte_identical(capsys):

@@ -146,14 +146,19 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", SQUARE,
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e160}'],
      "lower_cauchy_schwarz bound"),
+    # M = 2e10 and m_1^2 = 1e298 are finite; M m_1^2 is not
+    (["bound", "--kind", "lower", "--alpha", "2", "--beta", "2",
+      "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
+      "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e149}'],
+     "lower_cauchy_schwarz bound on this discrete distribution overflows"),
     # a Monte Carlo mean needs a count of draws, and its error bar two of them
     (["oracle", "--function", COS, "--dist", MEAN_OF_3, "--samples", "0"],
      "samples must be a positive integer"),
     # order 1 of this mean takes the shared Monte Carlo batch of the moments
     (["bound", "--kind", "upper", "--alpha", "1", "--n", "2", "--function", COS,
       "--dist", MEAN_OF_3, "--samples", "1"], "samples must be at least 2"),
-], ids=["overflowing_moment", "fractional_q", "overflowing_bound", "zero_samples",
-        "one_sample"])
+], ids=["overflowing_moment", "fractional_q", "overflowing_bound",
+        "overflowing_lower_value", "zero_samples", "one_sample"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -257,6 +257,17 @@ def test_sampling_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("dist", [
+    two_point(0.0, 1.0), Empirical((0.1, -0.4, 0.1)), Gaussian(0.0, 1.0),
+    Laplace(0.0, 1.0), Uniform(-1.0, 1.0), mean_of_n(two_point(0.0, 1.0), 3),
+], ids=lambda d: d.variant)
+def test_sample_count_is_a_count(dist):
+    for bad in (2.7, True, "3", 0):
+        with pytest.raises(InvalidParameterError, match="count must be"):
+            dist.sample(bad, 1)
+    assert dist.sample(3.0, 1).shape == (3,)
+
+
 def test_mean_of_n_variance_scaling():
     base = Uniform(-1.0, 1.0)
     avg = mean_of_n(base, 16)

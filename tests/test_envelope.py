@@ -200,7 +200,9 @@ def test_envelope_reports_role_and_params():
     assert m.role == "upper_sup"
     assert dict(m.params)["alpha"] == 3.0
     d = m.to_dict()
-    assert d["role"] == "upper_sup"
+    assert list(d) == ["value", "arg", "location", "role", "mu", "params",
+                       "validated", "diag"]
+    assert d["role"] == "upper_sup" and d["params"] == dict(m.params)
     assert d["diag"]["probes"] > 0
 
 

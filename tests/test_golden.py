@@ -4,9 +4,13 @@ Each case runs one CLI call with a fixed seed and compares stdout with
 ``tests/golden/<name>.json``; a few cases are also compared in their CSV
 (``<name>.csv``) and table (``<name>.txt``) renderings.  A change that moves
 any printed digit, key or diagnostic fails here; the goldens are only
-regenerated on purpose, for a change whose output is meant to differ.
+regenerated on purpose, for a change whose output is meant to differ:
+``PYTHONPATH=src python tests/test_golden.py`` rewrites every file of
+``CASES`` and ``RENDERED_CASES``.
 """
 
+import contextlib
+import io
 import pathlib
 
 import pytest
@@ -128,3 +132,15 @@ def test_cli_rendering_matches_golden(capsys, name, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.{RENDERED[fmt]}").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        formats = {"json": "json", **(RENDERED if name in RENDERED_CASES else {})}
+        for fmt, ext in formats.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([*argv, "--format", fmt])
+            if code != 0:
+                raise SystemExit(f"{name} --format {fmt} exited {code}")
+            (GOLDEN_DIR / f"{name}.{ext}").write_text(out.getvalue())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,7 @@ def test_verify_upper_pass_fail_inconclusive():
     out = verify(report, gap)
     assert out.verdict == "pass"
     assert out.margin == pytest.approx(report.value - abs(gap.value))
+    assert out.to_dict() == dataclasses.asdict(out)
 
     tight = BoundReport(kind="upper", value=0.1, mu=0.0, envelope=M,
                         moments_used=report.moments_used, params=report.params,

@@ -49,6 +49,17 @@ def test_two_point_sweep_rejects_small_grid():
         two_point_sweep(f, [0.4, 0.2, 0.1, -0.05])
 
 
+@pytest.mark.parametrize("sweep, grid, message", [
+    (two_point_sweep, [0.4, 0.2, -0.1], "at least 4 grid points"),
+    (two_point_sweep, [0.4, 0.2, 0.1, -0.05], "sigma grid must be positive"),
+    (lambda f, grid: mean_of_n_sweep(f, Uniform(-1.0, 1.0), grid),
+     [4.5, 16, 64, 256], "N grid entry must be a positive integer"),
+], ids=["short_before_positive", "positive", "count"])
+def test_sweep_grid_checks_in_order(sweep, grid, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        sweep(make_function("cos", 0.0), grid)
+
+
 def test_mean_of_n_sweep_slope_near_inverse():
     f = make_function("cos", 0.0)
     out = mean_of_n_sweep(f, Uniform(-1.0, 1.0), [4, 16, 64, 256], seed=0)
