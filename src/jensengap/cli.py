@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bounds
 from .catalog import REL_TOL, worked_example_rows
 from .distributions import (
@@ -538,11 +540,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except JensenGapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
+        # a typed error reports what overflowed, so numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
+    except (JensenGapError, OSError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

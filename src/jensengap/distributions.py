@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InvalidParameterError
-from .functions import _NUMBER, _NUMBERS, Interval, _apply_rule, _read_fields, _real
+from .functions import _NUMBER, _NUMBERS, Interval, _apply_rule, _items, _read_fields, _real
 from .rng import resolve_seed, stream
 
 PROB_SUM_TOL = 1e-12
@@ -1001,7 +1001,8 @@ def distribution_from_dict(d):
 # each variant's constructor and its fields, in argument order
 _VARIANTS = {
     "discrete": (Discrete, {"points": (
-        lambda v: tuple((_real(x), _real(q)) for x, q in v), "a list of [x, p] pairs")}),
+        lambda v: tuple((_real(x), _real(q)) for x, q in map(_items, _items(v))),
+        "a list of [x, p] pairs")}),
     "gaussian": (Gaussian, {"mean": _NUMBER, "stddev": _NUMBER}),
     "laplace": (Laplace, {"mean": _NUMBER, "scale": _NUMBER}),
     "uniform": (Uniform, {"lo": _NUMBER, "hi": _NUMBER}),

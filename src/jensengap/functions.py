@@ -12,6 +12,7 @@ checked.  The envelope solver screens a declaration on its own probe scan;
 ``validate_growth`` reports that verdict without raising.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +52,8 @@ class Interval:
 
     @classmethod
     def from_list(cls, pair):
-        lo, hi = pair
-        return cls(-math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
+        lo, hi = _items(pair)
+        return cls(-math.inf if lo is None else _real(lo), math.inf if hi is None else _real(hi))
 
 
 GAP_ABOVE = "gap_above"
@@ -101,6 +102,8 @@ class FunctionSpec:
     same point always gives the same value, which every bound assumes.
     ``slope_at_mu`` is the analytic derivative at mu when one is known; for
     a convex kink it is the midpoint of the subgradient interval.
+    ``descriptor`` is the JSON text, keys sorted, of a built-in or shifted
+    function's descriptor (a custom rule has none).
 
     ``_solved`` holds every envelope constant solved for this spec (the
     curvature pair and each declared or general constant, keyed by what
@@ -114,7 +117,7 @@ class FunctionSpec:
     domain: Interval
     mu: float
     slope_at_mu: float | None = None
-    descriptor: tuple = ()
+    descriptor: str = ""
     _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,21 +128,7 @@ class FunctionSpec:
         return evaluate(self, x)
 
     def to_dict(self):
-        return _thawed(self.descriptor) if self.descriptor else {"kind": "custom", "mu": self.mu}
-
-
-def _frozen(desc):
-    """A descriptor dict as (key, value) pairs sorted by key, hashable like
-    the rest of the spec: lists become tuples, and the descriptor under
-    "base" (a shifted function's) becomes pairs in turn."""
-    return tuple(sorted(((k, _frozen(v) if k == "base" else tuple(v) if isinstance(v, list) else v)
-                         for k, v in desc.items()), key=lambda kv: kv[0]))
-
-
-def _thawed(pairs):
-    """The descriptor dict that ``_frozen`` made ``pairs`` from."""
-    return {k: _thawed(v) if k == "base" else list(v) if isinstance(v, tuple) else v
-            for k, v in pairs}
+        return json.loads(self.descriptor) if self.descriptor else {"kind": "custom", "mu": self.mu}
 
 
 def evaluate(f, x):
@@ -175,90 +164,7 @@ def _apply_rule(rule, xs, label):
 
 
 # ---------------------------------------------------------------------------
-# Built-in function rules
-
-def _poly_slope(coeffs, mu):
-    return float(sum(i * c * mu ** (i - 1) for i, c in enumerate(coeffs) if i > 0))
-
-
-def make_function(kind, mu=0.0, domain=None, **params):
-    """Build a FunctionSpec for one of the built-in rules.
-
-    Kinds: sin, cos, log, sqrt, pow4, polynomial(coeffs=...),
-    abs_power(alpha=...), abs_power_sum(alpha=..., n=...),
-    shifted(base=..., slope=...).
-    """
-    mu = float(mu)
-    desc = {"kind": kind, "mu": mu}
-
-    if kind == "sin":
-        rule, dom, slope = np.sin, Interval(), math.cos(mu)
-    elif kind == "cos":
-        rule, dom, slope = np.cos, Interval(), -math.sin(mu)
-    elif kind == "log":
-        if domain is None:
-            raise InvalidParameterError(
-                "log needs an explicit domain with a positive lower endpoint; "
-                "it is unbounded on compact neighborhoods of 0")
-        if mu <= 0:
-            raise InvalidParameterError(f"log needs mu > 0, got {mu}")
-        rule, dom, slope = np.log, None, 1.0 / mu
-    elif kind == "sqrt":
-        rule, dom = np.sqrt, Interval(0.0, math.inf)
-        slope = 0.5 / math.sqrt(mu) if mu > 0 else None
-    elif kind == "pow4":
-        rule, dom, slope = (lambda x: x ** 4), Interval(), 4.0 * mu ** 3
-    elif kind == "polynomial":
-        coeffs = tuple(float(c) for c in params["coeffs"])
-        if not coeffs:
-            raise InvalidParameterError("polynomial needs at least one coefficient")
-        rule = lambda x, c=coeffs: np.polynomial.polynomial.polyval(x, c)
-        dom, slope = Interval(), _poly_slope(coeffs, mu)
-        desc["coeffs"] = list(coeffs)
-    elif kind == "abs_power":
-        alpha = float(params["alpha"])
-        if not 0 < alpha < math.inf:
-            raise InvalidParameterError("abs_power needs a finite alpha > 0")
-        rule = lambda x, a=alpha, m=mu: np.abs(x - m) ** a
-        dom = Interval()
-        # alpha > 1: differentiable with slope 0; alpha == 1: kink, midpoint
-        # of the subgradient [-1, 1]; alpha < 1: cusp, no usable slope.
-        slope = 0.0 if alpha >= 1 else None
-        desc["alpha"] = alpha
-    elif kind == "abs_power_sum":
-        alpha, n = float(params["alpha"]), float(params["n"])
-        if not 0 < alpha <= n < math.inf:
-            raise InvalidParameterError("abs_power_sum needs 0 < alpha <= n < inf")
-        rule = lambda x, a=alpha, b=n, m=mu: np.abs(x - m) ** a + np.abs(x - m) ** b
-        dom = Interval()
-        slope = 0.0 if alpha >= 1 else None
-        desc["alpha"], desc["n"] = alpha, n
-    else:
-        raise InvalidParameterError(f"unknown function kind {kind!r}")
-
-    if domain is not None:
-        dom = domain if isinstance(domain, Interval) else Interval.from_list(list(domain))
-    if kind == "log" and dom.lo <= 0:
-        raise InvalidParameterError(f"log domain must have a positive lower endpoint, got {dom.lo}")
-    if kind == "sqrt" and dom.lo < 0:
-        raise InvalidParameterError("sqrt domain must lie in [0, inf)")
-    desc["domain"] = dom.to_list()
-
-    label = kind if kind not in ("abs_power", "abs_power_sum", "polynomial") else \
-        {"abs_power": f"|x-{mu:g}|^{params.get('alpha')}",
-         "abs_power_sum": f"|x-{mu:g}|^{params.get('alpha')} + |x-{mu:g}|^{params.get('n')}",
-         "polynomial": "poly" + str(list(params.get("coeffs", [])))}[kind]
-    return FunctionSpec(label=label, rule=rule, domain=dom, mu=mu,
-                        slope_at_mu=slope, descriptor=_frozen(desc))
-
-
-def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
-    """Wrap an arbitrary callable as a FunctionSpec."""
-    dom = domain if isinstance(domain, Interval) else (
-        Interval() if domain is None else Interval.from_list(list(domain)))
-    return FunctionSpec(label=label, rule=rule, domain=dom, mu=float(mu),
-                        slope_at_mu=None if slope_at_mu is None else float(slope_at_mu))
-
+# Parameter reading, shared with the distribution descriptors
 
 def _real(v):
     """float(v) for a descriptor number; JSON true is not the number 1."""
@@ -267,8 +173,24 @@ def _real(v):
     return float(v)
 
 
+def _finite(v):
+    v = _real(v)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    return v
+
+
+def _items(v):
+    """``v`` to read item by item; text and objects iterate, but are not lists."""
+    if isinstance(v, (str, bytes, dict)):
+        raise TypeError(f"{v!r} is not a list")
+    return v
+
+
 _NUMBER = (_real, "a number")
-_NUMBERS = (lambda v: tuple(_real(x) for x in v), "a list of numbers")
+_FINITE = (_finite, "a finite number")
+_NUMBERS = (lambda v: tuple(_real(x) for x in _items(v)), "a list of numbers")
+_DOMAIN = (lambda v: v if isinstance(v, Interval) else Interval.from_list(v), "a [lo, hi] pair")
 
 
 def _read_fields(d, name, tag, fields, optional=()):
@@ -296,35 +218,110 @@ def _read_fields(d, name, tag, fields, optional=()):
     return out
 
 
-# the parameters each built-in kind takes besides "mu" and "domain"
-_KIND_PARAMS = {
-    "sin": {}, "cos": {}, "log": {}, "sqrt": {}, "pow4": {},
-    "polynomial": {"coeffs": _NUMBERS},
-    "abs_power": {"alpha": _NUMBER},
-    "abs_power_sum": {"alpha": _NUMBER, "n": _NUMBER},
+# ---------------------------------------------------------------------------
+# Built-in function rules: each builder takes mu, the domain and the kind's
+# parameters, makes the kind's own checks, and returns the rule and its
+# slope at mu.
+
+def _log(mu, dom):
+    if dom is None:
+        raise InvalidParameterError(
+            "log needs an explicit domain with a positive lower endpoint; "
+            "it is unbounded on compact neighborhoods of 0")
+    if mu <= 0:
+        raise InvalidParameterError(f"log needs mu > 0, got {mu}")
+    if dom.lo <= 0:
+        raise InvalidParameterError(f"log domain must have a positive lower endpoint, got {dom.lo}")
+    return np.log, 1.0 / mu
+
+
+def _sqrt(mu, dom):
+    if dom.lo < 0:
+        raise InvalidParameterError("sqrt domain must lie in [0, inf)")
+    return np.sqrt, 0.5 / math.sqrt(mu) if mu > 0 else None
+
+
+def _polynomial(mu, dom, coeffs):
+    if not coeffs:
+        raise InvalidParameterError("polynomial needs at least one coefficient")
+    return ((lambda x: np.polynomial.polynomial.polyval(x, coeffs)),
+            float(sum(i * c * mu ** (i - 1) for i, c in enumerate(coeffs) if i > 0)))
+
+
+# alpha > 1: differentiable with slope 0; alpha == 1: kink, midpoint of the
+# subgradient [-1, 1]; alpha < 1: cusp, no usable slope.
+
+def _abs_power(mu, dom, alpha):
+    if not 0 < alpha < math.inf:
+        raise InvalidParameterError("abs_power needs a finite alpha > 0")
+    return (lambda x: np.abs(x - mu) ** alpha), 0.0 if alpha >= 1 else None
+
+
+def _abs_power_sum(mu, dom, alpha, n):
+    if not 0 < alpha <= n < math.inf:
+        raise InvalidParameterError("abs_power_sum needs 0 < alpha <= n < inf")
+    return (lambda x: np.abs(x - mu) ** alpha + np.abs(x - mu) ** n), 0.0 if alpha >= 1 else None
+
+
+# Each built-in kind: the parameters it takes besides mu and domain, its
+# default domain (None: the caller must give one), its builder, and its
+# label from mu and the parameters as the caller wrote them (None: the
+# kind's name).
+_KINDS = {
+    "sin": ({}, Interval(), lambda mu, dom: (np.sin, math.cos(mu)), None),
+    "cos": ({}, Interval(), lambda mu, dom: (np.cos, -math.sin(mu)), None),
+    "log": ({}, None, _log, None),
+    "sqrt": ({}, Interval(0.0, math.inf), _sqrt, None),
+    "pow4": ({}, Interval(), lambda mu, dom: ((lambda x: x ** 4), 4.0 * mu ** 3), None),
+    "polynomial": ({"coeffs": _NUMBERS}, Interval(), _polynomial,
+                   lambda mu, coeffs: "poly" + str(list(coeffs))),
+    "abs_power": ({"alpha": _NUMBER}, Interval(), _abs_power,
+                  lambda mu, alpha: f"|x-{mu:g}|^{alpha}"),
+    "abs_power_sum": ({"alpha": _NUMBER, "n": _NUMBER}, Interval(), _abs_power_sum,
+                      lambda mu, alpha, n: f"|x-{mu:g}|^{alpha} + |x-{mu:g}|^{n}"),
 }
+
+
+def make_function(kind, mu=0.0, domain=None, **params):
+    """Build a FunctionSpec for one of the built-in rules.
+
+    Kinds: sin, cos, log, sqrt, pow4, polynomial(coeffs=...),
+    abs_power(alpha=...), abs_power_sum(alpha=..., n=...).  mu, domain and
+    the parameters are read as a descriptor's are; mu must be finite.
+    """
+    if kind not in _KINDS:
+        raise InvalidParameterError(f"unknown function kind {kind!r}")
+    takes, default, build, label = _KINDS[kind]
+    read = _read_fields({"mu": mu, "domain": domain, **params}, f"function descriptor for {kind!r}",
+                        None, {"mu": _FINITE, "domain": _DOMAIN, **takes},
+                        optional=("mu", "domain"))
+    mu, dom = read.pop("mu", 0.0), read.pop("domain", default)
+    rule, slope = build(mu, dom, **read)
+    desc = json.dumps({"kind": kind, "mu": mu, "domain": dom.to_list(), **read}, sort_keys=True)
+    return FunctionSpec(label=kind if label is None else label(mu, **params), rule=rule,
+                        domain=dom, mu=mu, slope_at_mu=slope, descriptor=desc)
+
+
+def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
+    """Wrap an arbitrary callable as a FunctionSpec; mu, domain and
+    slope_at_mu are read as make_function reads them."""
+    read = _read_fields({"mu": mu, "domain": domain, "slope_at_mu": slope_at_mu},
+                        "custom function", None,
+                        {"mu": _FINITE, "domain": _DOMAIN, "slope_at_mu": _FINITE},
+                        optional=("domain", "slope_at_mu"))
+    return FunctionSpec(label=label, rule=rule, domain=read.get("domain", Interval()),
+                        mu=read["mu"], slope_at_mu=read.get("slope_at_mu"))
 
 
 def function_from_dict(d):
     """Parse the JSON descriptor form of a function."""
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidParameterError("function descriptor must be an object with a 'kind' key")
-    kind = d["kind"]
-    name = f"function descriptor for {kind!r}"
-    if kind == "shifted":
-        shift = _read_fields(d, name, "kind", {
-            "base": (function_from_dict, "a function descriptor"), "slope": _NUMBER})
-        return linear_shift(shift["base"], shift["slope"])
-    if kind not in _KIND_PARAMS:
-        raise InvalidParameterError(f"unknown function kind {kind!r}")
-    fields = _read_fields(d, name, "kind", {
-        "mu": _NUMBER,
-        "domain": (lambda v: Interval.from_list([x if x is None else _real(x) for x in v]),
-                   "a [lo, hi] pair"),
-        **_KIND_PARAMS[kind]}, optional=("mu", "domain"))
-    # the parameters go in as written, which is how the label shows them
-    fields.update((key, d[key]) for key in _KIND_PARAMS[kind])
-    return make_function(kind, **fields)
+    if d["kind"] != "shifted":
+        return make_function(**d)
+    shift = _read_fields(d, "function descriptor for 'shifted'", "kind", {
+        "base": (function_from_dict, "a function descriptor"), "slope": _NUMBER})
+    return linear_shift(shift["base"], shift["slope"])
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +329,11 @@ def function_from_dict(d):
 
 def linear_shift(f, a):
     """g(x) = f(x) - a*(x - mu).  Leaves the gap E[g(X)] - g(E[X]) unchanged."""
-    a = float(a)
+    a = _read_fields({"slope": a}, f"linear shift of {f.label}", None, {"slope": _FINITE})["slope"]
     base_rule, mu = f.rule, f.mu
     rule = lambda x: base_rule(x) - a * (np.asarray(x) - mu)
     slope = None if f.slope_at_mu is None else f.slope_at_mu - a
-    desc = _frozen({"base": f.to_dict(), "kind": "shifted", "slope": a})
+    desc = json.dumps({"base": f.to_dict(), "kind": "shifted", "slope": a}, sort_keys=True)
     return FunctionSpec(label=f"{f.label} - {a:g}*(x-{mu:g})", rule=rule,
                         domain=f.domain, mu=mu, slope_at_mu=slope, descriptor=desc)
 

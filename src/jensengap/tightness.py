@@ -134,8 +134,7 @@ def outlier_ratio_sequence(beta, alpha, k, q, j_max=1024):
             f"got q = {q}"
         )
     q = float(q)
-    if j_max < 1:
-        raise InvalidParameterError(f"j_max must be >= 1, got {j_max}")
+    j_max = check_count(j_max, "j_max")
 
     f = outlier_witness(beta, alpha)
     js = []

@@ -120,6 +120,18 @@ def test_malformed_json_is_input_error(capsys):
      "'samples' must be a list of numbers, got [True, 0.5]"),
     (COS, '{"variant": "discrete", "points": [[true, 1]]}',
      "'points' must be a list of [x, p] pairs, got [[True, 1]]"),
+    ('{"kind": "cos", "mu": 1e400}', PAIR, "'mu' must be a finite number, got inf"),
+    ('{"kind": "shifted", "base": {"kind": "sin", "mu": 0}, "slope": 1e400}', PAIR,
+     "'slope' must be a finite number, got inf"),
+    # text is not a list, though Python would iterate it
+    ('{"kind": "polynomial", "mu": 0, "coeffs": "12"}', PAIR,
+     "'coeffs' must be a list of numbers, got '12'"),
+    (COS, '{"variant": "empirical", "samples": "123"}',
+     "'samples' must be a list of numbers, got '123'"),
+    ('{"kind": "cos", "mu": 0, "domain": "12"}', PAIR,
+     "'domain' must be a [lo, hi] pair, got '12'"),
+    (COS, '{"variant": "discrete", "points": ["01"]}',
+     "'points' must be a list of [x, p] pairs, got ['01']"),
 ])
 def test_malformed_descriptor_is_input_error(capsys, function, dist, message):
     code = cli.main(["oracle", "--function", function, "--dist", dist])

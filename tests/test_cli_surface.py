@@ -157,8 +157,16 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
     # order 1 of this mean takes the shared Monte Carlo batch of the moments
     (["bound", "--kind", "upper", "--alpha", "1", "--n", "2", "--function", COS,
       "--dist", MEAN_OF_3, "--samples", "1"], "samples must be at least 2"),
+    # the rule overflows; only the error line reaches stderr, no numpy warning
+    (["bound", "--kind", "variance",
+      "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
+      "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e150}'],
+     "returned a non-finite value"),
+    (["bound", "--kind", "upper", "--alpha", "2", "--n", "2", "--function", COS,
+      "--dist", MEAN_OF_3, "--shift", "inf"], "'slope' must be a finite number, got inf"),
 ], ids=["overflowing_moment", "fractional_q", "overflowing_bound",
-        "overflowing_lower_value", "zero_samples", "one_sample"])
+        "overflowing_lower_value", "zero_samples", "one_sample", "overflowing_rule",
+        "infinite_shift"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()

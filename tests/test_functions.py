@@ -18,6 +18,7 @@ from jensengap.functions import (
     evaluate,
     eval_many,
     function_from_dict,
+    _KINDS,
     linear_shift,
     make_function,
     select_shift_slope,
@@ -90,6 +91,21 @@ def test_make_function_rejects_bad_input():
         make_function("abs_power_sum", 0.0, alpha=3.0, n=2.0)
     with pytest.raises(InvalidParameterError):
         make_function("polynomial", 0.0, coeffs=[])
+    # library calls read their parameters as descriptors do
+    with pytest.raises(InvalidParameterError, match="is missing 'alpha'"):
+        make_function("abs_power", 0.0)
+    with pytest.raises(InvalidParameterError, match="'alpha' must be a number, got True"):
+        make_function("abs_power", 0.0, alpha=True)
+    with pytest.raises(InvalidParameterError, match=r"does not take: \['alpha'\]"):
+        make_function("cos", 0.0, alpha=3)
+    # a non-finite mu or shift slope is refused before any slope is taken
+    for mu in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="'mu' must be a finite number"):
+            make_function("cos", mu)
+        with pytest.raises(InvalidParameterError, match="'mu' must be a finite number"):
+            custom_function(np.cos, mu)
+        with pytest.raises(InvalidParameterError, match="'slope' must be a finite number"):
+            linear_shift(make_function("sin", 0.0), mu)
 
 
 def test_evaluate_guards():
@@ -158,6 +174,11 @@ CATALOG_DESCRIPTORS = [
     {"kind": "shifted", "slope": 1.0, "base": {"kind": "polynomial", "mu": 0.0,
                                                 "coeffs": [0, 1, 1], "domain": [-2, 2]}},
 ]
+
+
+def test_catalog_descriptors_cover_every_kind():
+    # a new kind gets the hash and round-trip checks below
+    assert {d["kind"] for d in CATALOG_DESCRIPTORS} == set(_KINDS) | {"shifted"}
 
 
 @pytest.mark.parametrize("desc", CATALOG_DESCRIPTORS, ids=lambda d: d["kind"])

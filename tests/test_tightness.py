@@ -112,6 +112,10 @@ def test_outlier_sequence_threshold_rejected():
         outlier_ratio_sequence(1.0, 2.0, 1.5, 3.0, j_max=8)
     with pytest.raises(InvalidParameterError):
         outlier_ratio_sequence(1.0, 2.0, True, 3.0, j_max=8)
+    # j_max is a count: a bool, a string or NaN is not one
+    for j_max in (True, "8", math.nan):
+        with pytest.raises(InvalidParameterError, match="j_max must be a positive integer"):
+            outlier_ratio_sequence(1.0, 2.0, 1, 1.5, j_max=j_max)
 
 
 def test_decay_exponent_formula():
