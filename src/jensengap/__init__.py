@@ -6,6 +6,8 @@ moments into a bound, and check the bound against a direct estimate of the
 gap itself.
 """
 
+import types
+
 from .bounds import (
     BoundReport,
     general_bounds,
@@ -72,61 +74,6 @@ from .tightness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConditionViolationError",
-    "DegenerateEnvelopeError",
-    "DerivativeEstimateError",
-    "Discrete",
-    "Distribution",
-    "DomainError",
-    "Empirical",
-    "EnvelopeConstant",
-    "EvaluationError",
-    "FunctionSpec",
-    "GAP_ABOVE",
-    "GAP_BELOW",
-    "GapEstimate",
-    "Gaussian",
-    "Interval",
-    "InvalidParameterError",
-    "JensenGapError",
-    "Laplace",
-    "MeanOfN",
-    "Uniform",
-    "UnboundedEnvelopeError",
-    "VerifyResult",
-    "curvature_envelope",
-    "custom_function",
-    "decay_exponent",
-    "distribution_from_dict",
-    "fit_loglog_slope",
-    "function_from_dict",
-    "general_bounds",
-    "inf_ratio_lower",
-    "jensen_gap",
-    "linear_shift",
-    "lower_bound_cauchy_schwarz",
-    "lower_bound_holder",
-    "lower_bound_holder_single",
-    "make_function",
-    "mean_of_n",
-    "mean_of_n_sweep",
-    "outlier_ratio_sequence",
-    "outlier_witness",
-    "select_shift_slope",
-    "sup_ratio_general",
-    "sup_ratio_upper",
-    "symmetric_outlier",
-    "three_point",
-    "three_point_gap_ratio",
-    "three_point_gap_ratio_closed_form",
-    "two_point",
-    "two_point_equality",
-    "two_point_sweep",
-    "upper_bound",
-    "valid_holder_q",
-    "variance_interval",
-    "verify",
-    "worked_example_rows",
-]
+# every public name bound above, submodules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -13,17 +13,17 @@ bound value uncertain).
 
 Moment-power notation: for order r the quantity sigma_r^r is written m_r
 below, with m_0 = 1 by the |t|^0 = 1 convention.
+
+Every bound passes its keywords (``seed``, ``samples``, ``nodes``,
+``method``) to ``dist.abs_central_moments``, whose defaults set the moment
+budget.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .distributions import (
-    DEFAULT_MOMENT_SAMPLES,
-    DEFAULT_NODES,
-    check_count,
-)
+from .distributions import check_count
 from .envelope import (
     curvature_envelope,
     check_terms,
@@ -173,8 +173,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     )
 
 
-def upper_bound(M, dist, alpha, n, *, seed=None,
-                samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
+def upper_bound(M, dist, alpha, n, **moment_kw):
     """|J| <= M (sigma_alpha^alpha + sigma_n^n), reported in both forms.
 
     ``value`` is the tight sum form; ``loose_value`` is the factored form
@@ -190,8 +189,7 @@ def upper_bound(M, dist, alpha, n, *, seed=None,
 
     return _power_sum_bound(
         "upper", M, dist, (("alpha", alpha), ("n", n)),
-        [(1, alpha), (1, n)], 1.0, [(1.0, None)], 1.0,
-        dict(seed=seed, samples=samples, nodes=nodes), loose,
+        [(1, alpha), (1, n)], 1.0, [(1.0, None)], 1.0, moment_kw, loose,
     )
 
 
@@ -201,9 +199,7 @@ def _lower_sign(M, alpha, beta):
     return dict(M.params).get("sign", GAP_ABOVE)
 
 
-def lower_bound_cauchy_schwarz(M, dist, alpha, beta, *, seed=None,
-                               samples=DEFAULT_MOMENT_SAMPLES,
-                               nodes=DEFAULT_NODES):
+def lower_bound_cauchy_schwarz(M, dist, alpha, beta, **moment_kw):
     """Signed gap >= M sigma_{alpha/2}^alpha / (1 + sigma_{alpha-beta}^{alpha-beta})."""
     alpha = float(alpha)
     beta = float(beta)
@@ -211,8 +207,7 @@ def lower_bound_cauchy_schwarz(M, dist, alpha, beta, *, seed=None,
     return _power_sum_bound(
         "lower_cauchy_schwarz", M, dist,
         (("alpha", alpha), ("beta", beta), ("sign", sign)),
-        [(1, alpha / 2.0)], 2.0, [(1.0, None), (1, alpha - beta)], 1.0,
-        dict(seed=seed, samples=samples, nodes=nodes),
+        [(1, alpha / 2.0)], 2.0, [(1.0, None), (1, alpha - beta)], 1.0, moment_kw,
     )
 
 
@@ -272,8 +267,7 @@ def _holder_bound(kind, M, dist, params, terms, alpha, k, q, moment_kw):
     )
 
 
-def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
-                       samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
+def lower_bound_holder(M, dist, alpha, beta, k, q, **moment_kw):
     """The Hoelder-refined lower bound with free split (k, q).
 
     q must divide k+1 and exceed 1; p is the conjugate q/(q-1).  The value
@@ -288,23 +282,18 @@ def lower_bound_holder(M, dist, alpha, beta, k, q, *, seed=None,
         "lower_holder", M, dist,
         (("alpha", alpha), ("beta", beta), ("k", k), ("q", q),
          ("p", q / (q - 1.0)), ("sign", sign)),
-        ((alpha, 1.0), (beta, 1.0)), alpha, k, q,
-        dict(seed=seed, samples=samples, nodes=nodes),
+        ((alpha, 1.0), (beta, 1.0)), alpha, k, q, moment_kw,
     )
 
 
-def lower_bound_holder_single(M, dist, alpha, beta, k, *, seed=None,
-                              samples=DEFAULT_MOMENT_SAMPLES,
-                              nodes=DEFAULT_NODES):
+def lower_bound_holder_single(M, dist, alpha, beta, k, **moment_kw):
     """The q = k+1 case of ``lower_bound_holder``: one numerator moment."""
     k = _check_k(k)
-    report = lower_bound_holder(M, dist, alpha, beta, k, k + 1, seed=seed,
-                                samples=samples, nodes=nodes)
+    report = lower_bound_holder(M, dist, alpha, beta, k, k + 1, **moment_kw)
     return replace(report, kind="lower_holder_single")
 
 
-def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
-                      nodes=DEFAULT_NODES):
+def variance_interval(f, dist, **moment_kw):
     """Curvature interval: inf h * sigma_2^2 <= J <= sup h * sigma_2^2.
 
     An unbounded curvature side propagates to an infinite endpoint, which is
@@ -314,8 +303,7 @@ def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
     """
     mean = _check_mean(f.mu, dist)
     h_lo, h_hi = curvature_envelope(f)
-    moments = dist.abs_central_moments([2.0], seed=seed, samples=samples,
-                                       nodes=nodes)
+    moments = dist.abs_central_moments([2.0], **moment_kw)
     m2 = moments[2.0].sigma_p_pow
     err2 = moments[2.0].abs_error_estimate
 
@@ -345,9 +333,7 @@ def variance_interval(f, dist, *, seed=None, samples=DEFAULT_MOMENT_SAMPLES,
     )
 
 
-def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
-                   seed=None, samples=DEFAULT_MOMENT_SAMPLES,
-                   nodes=DEFAULT_NODES):
+def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, **moment_kw):
     """Bounds against a user-chosen power sum t(x) = sum a_eta |x-mu|^eta.
 
     mode "upper": |J| <= sup(|f - f(mu)| / t) * sum a_eta m_eta.
@@ -356,7 +342,6 @@ def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, *,
     / sum a_eta m_{alpha-eta}.
     """
     terms = check_terms(terms)
-    moment_kw = dict(seed=seed, samples=samples, nodes=nodes)
     if mode == "upper":
         if k is not None:
             raise InvalidParameterError("k applies to the lower mode only")

@@ -230,12 +230,6 @@ def _parse_terms(text):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-_BOUND_KINDS = (
-    "upper", "lower", "holder", "holder_single", "variance",
-    "general_upper", "general_lower",
-)
-
-
 def _need(opts, *names):
     missing = [m for m in names if opts[m] is None]
     if missing:
@@ -245,55 +239,55 @@ def _need(opts, *names):
         )
 
 
+def _lower_envelope(g, o):
+    return _signed(lambda s: inf_ratio_lower(g, o["alpha"], o["beta"], sign=s), o["sign"])
+
+
+def _holder(g, dist, o, kw):
+    if o["q"] is None:
+        raise InvalidParameterError(
+            f"--kind holder needs --q; valid choices for k={o['k']}: "
+            f"{bounds.valid_holder_q(o['k'])}"
+        )
+    bounds.check_holder_split(o["k"], o["q"])
+    return bounds.lower_bound_holder(_lower_envelope(g, o), dist, o["alpha"], o["beta"],
+                                     o["k"], o["q"], **kw)
+
+
+def _general_lower(g, dist, o, kw):
+    terms = _parse_terms(o["terms"])
+    return _signed(lambda s: bounds.general_bounds(g, dist, terms, "lower", k=o["k"],
+                                                   sign=s, **kw), o["sign"])
+
+
+# each --kind, in --help order: whether it solves for the --shift'ed f, the
+# options it needs, and its solve(g, dist, opts, moment_kw)
+_KINDS = {
+    "upper": (True, ("alpha", "n"), lambda g, dist, o, kw: bounds.upper_bound(
+        sup_ratio_upper(g, o["alpha"], o["n"]), dist, o["alpha"], o["n"], **kw)),
+    "lower": (True, ("alpha", "beta"), lambda g, dist, o, kw: bounds.lower_bound_cauchy_schwarz(
+        _lower_envelope(g, o), dist, o["alpha"], o["beta"], **kw)),
+    "holder": (True, ("alpha", "beta", "k"), _holder),
+    "holder_single": (True, ("alpha", "beta", "k"),
+                      lambda g, dist, o, kw: bounds.lower_bound_holder_single(
+                          _lower_envelope(g, o), dist, o["alpha"], o["beta"], o["k"], **kw)),
+    "variance": (False, (), lambda f, dist, o, kw: bounds.variance_interval(f, dist, **kw)),
+    "general_upper": (True, ("terms",), lambda g, dist, o, kw: bounds.general_bounds(
+        g, dist, _parse_terms(o["terms"]), "upper", **kw)),
+    "general_lower": (True, ("terms",), _general_lower),
+}
+
+
 def cmd_bound(args):
     opts = merged_options(args)
     _need(opts, "kind")
     f = function_from_dict(_load_json_arg(opts["function"], "function"))
     dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
     kw = _moment_kw(opts)
-
-    kind = opts["kind"]
-    alpha, beta, k = opts["alpha"], opts["beta"], opts["k"]
-    if kind == "variance":
-        report = bounds.variance_interval(f, dist, **kw)
-    else:
-        g = _shifted(f, opts["shift"])
-        lower = lambda s: inf_ratio_lower(g, alpha, beta, sign=s)
-        if kind == "upper":
-            _need(opts, "alpha", "n")
-            M = sup_ratio_upper(g, alpha, opts["n"])
-            report = bounds.upper_bound(M, dist, alpha, opts["n"], **kw)
-        elif kind == "lower":
-            _need(opts, "alpha", "beta")
-            M = _signed(lower, opts["sign"])
-            report = bounds.lower_bound_cauchy_schwarz(M, dist, alpha, beta, **kw)
-        elif kind == "holder":
-            _need(opts, "alpha", "beta", "k")
-            if opts["q"] is None:
-                raise InvalidParameterError(
-                    f"--kind holder needs --q; valid choices for k={k}: "
-                    f"{bounds.valid_holder_q(k)}"
-                )
-            bounds.check_holder_split(k, opts["q"])
-            M = _signed(lower, opts["sign"])
-            report = bounds.lower_bound_holder(M, dist, alpha, beta, k,
-                                               opts["q"], **kw)
-        elif kind == "holder_single":
-            _need(opts, "alpha", "beta", "k")
-            M = _signed(lower, opts["sign"])
-            report = bounds.lower_bound_holder_single(M, dist, alpha, beta,
-                                                      k, **kw)
-        else:
-            _need(opts, "terms")
-            terms = _parse_terms(opts["terms"])
-            if kind == "general_upper":
-                report = bounds.general_bounds(g, dist, terms, "upper", **kw)
-            else:
-                report = _signed(
-                    lambda s: bounds.general_bounds(
-                        g, dist, terms, "lower", k=k, sign=s, **kw),
-                    opts["sign"],
-                )
+    shifts, needs, solve = _KINDS[opts["kind"]]
+    g = _shifted(f, opts["shift"]) if shifts else f
+    _need(opts, *needs)
+    report = solve(g, dist, opts, kw)
 
     gap = jensen_gap(f, dist, **kw)
     verdict = verify(report, gap)
@@ -460,7 +454,7 @@ OPTIONS = {
     "samples": dict(type=int,
                     help="Monte Carlo sample count (exact sums, closed forms "
                          "and quadrature ignore it)"),
-    "kind": dict(choices=_BOUND_KINDS),
+    "kind": dict(choices=tuple(_KINDS)),
     "mode": dict(choices=("two_point", "mean_of_n")),
     "construction": dict(choices=tuple(_CONSTRUCTIONS)),
     "grid": dict(help="comma-separated sigma grid or N grid"),

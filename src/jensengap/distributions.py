@@ -991,7 +991,7 @@ def distribution_from_dict(d):
     if not isinstance(d, dict) or "variant" not in d:
         raise InvalidParameterError("distribution descriptor must be an object with a 'variant' key")
     v = d["variant"]
-    if v not in _VARIANTS:
+    if not isinstance(v, str) or v not in _VARIANTS:
         raise InvalidParameterError(f"unknown distribution variant {v!r}")
     make, fields = _VARIANTS[v]
     return make(*_read_fields(d, f"distribution descriptor for {v!r}", "variant",

@@ -98,9 +98,6 @@ class SolverDiagnostics:
     refinements: int
     bracket_width: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EnvelopeConstant:

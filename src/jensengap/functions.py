@@ -289,14 +289,19 @@ def make_function(kind, mu=0.0, domain=None, **params):
     abs_power(alpha=...), abs_power_sum(alpha=..., n=...).  mu, domain and
     the parameters are read as a descriptor's are; mu must be finite.
     """
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidParameterError(f"unknown function kind {kind!r}")
     takes, default, build, label = _KINDS[kind]
     read = _read_fields({"mu": mu, "domain": domain, **params}, f"function descriptor for {kind!r}",
                         None, {"mu": _FINITE, "domain": _DOMAIN, **takes},
                         optional=("mu", "domain"))
     mu, dom = read.pop("mu", 0.0), read.pop("domain", default)
-    rule, slope = build(mu, dom, **read)
+    try:
+        rule, slope = build(mu, dom, **read)
+        if slope is not None and not math.isfinite(slope):
+            raise OverflowError
+    except OverflowError:
+        raise InvalidParameterError(f"{kind} has no finite slope at mu = {mu}") from None
     desc = json.dumps({"kind": kind, "mu": mu, "domain": dom.to_list(), **read}, sort_keys=True)
     return FunctionSpec(label=kind if label is None else label(mu, **params), rule=rule,
                         domain=dom, mu=mu, slope_at_mu=slope, descriptor=desc)

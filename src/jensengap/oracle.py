@@ -12,7 +12,6 @@ margin.
 import math
 from dataclasses import asdict, dataclass
 
-from .distributions import DEFAULT_GAP_SAMPLES, DEFAULT_NODES
 from .errors import DomainError, InvalidParameterError
 from .functions import GAP_BELOW, eval_many, evaluate
 
@@ -60,9 +59,10 @@ class VerifyResult:
         return asdict(self)
 
 
-def jensen_gap(f, dist, *, samples=DEFAULT_GAP_SAMPLES, nodes=DEFAULT_NODES,
-               seed=None):
-    """E[f(X)] - f(E[X]) with method picked by the distribution's structure."""
+def jensen_gap(f, dist, *, seed=None, **budget):
+    """E[f(X)] - f(E[X]) with method picked by the distribution's structure;
+    ``seed`` and the budget (``samples``, ``nodes``, ``growth_hint``) go to
+    ``dist.expect``."""
     support = dist.support_interval()
     if support.lo < f.domain.lo or support.hi > f.domain.hi:
         raise DomainError(
@@ -72,8 +72,7 @@ def jensen_gap(f, dist, *, samples=DEFAULT_GAP_SAMPLES, nodes=DEFAULT_NODES,
     mu = dist.mean()
     if not f.domain.contains(mu):
         raise DomainError(f"mean {mu} lies outside the domain of {f.label}")
-    est = dist.expect(lambda xs: eval_many(f, xs), nodes=nodes, samples=samples,
-                      seed=seed)
+    est = dist.expect(lambda xs: eval_many(f, xs), seed=seed, **budget)
     gap = est.value - evaluate(f, mu)
     return GapEstimate(
         value=float(gap),

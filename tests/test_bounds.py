@@ -310,8 +310,28 @@ def test_uncertainty_positive_on_estimated_moments():
     assert report.uncertainty > 0
 
 
-def test_monte_carlo_orders_share_one_batch(monkeypatch):
-    from jensengap.distributions import Empirical, MeanOfN, mean_of_n
+def _quartic_lower(solve):
+    # x^4 at 0 with alpha = 4, beta = 1: M = inf (1 + |x|^3) = 1
+    return lambda dist, **kw: solve(inf_ratio_lower(make_function("pow4", 0.0), 4.0, 1.0),
+                                    dist, 4.0, 1.0, **kw)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda dist, **kw: upper_bound(sup_ratio_upper(flat_sine(), 3.0, 5.0), dist, 3.0, 5.0,
+                                   **kw),
+    _quartic_lower(lower_bound_cauchy_schwarz),
+    _quartic_lower(lambda M, dist, alpha, beta, **kw:
+                   lower_bound_holder(M, dist, alpha, beta, 3, 2, **kw)),
+    _quartic_lower(lambda M, dist, alpha, beta, **kw:
+                   lower_bound_holder_single(M, dist, alpha, beta, 2, **kw)),
+    lambda dist, **kw: general_bounds(flat_sine(), dist, [(3.0, 1.0), (5.0, 0.5)], "upper",
+                                      **kw),
+    lambda dist, **kw: general_bounds(make_function("pow4", 0.0), dist,
+                                      [(1.0, 1.0), (4.0, 1.0)], "lower", k=2, **kw),
+], ids=["upper", "lower_cauchy_schwarz", "lower_holder", "lower_holder_single",
+        "general_upper", "general_lower"])
+def test_monte_carlo_orders_share_one_batch(monkeypatch, bound):
+    from jensengap.distributions import Empirical, MeanOfN
     purposes = []
     original = MeanOfN.sample
 
@@ -321,13 +341,13 @@ def test_monte_carlo_orders_share_one_batch(monkeypatch):
 
     monkeypatch.setattr(MeanOfN, "sample", counted)
     dist = mean_of_n(Empirical((-1.0, -0.5, 0.25, 1.25)), 4)
-    report = general_bounds(flat_sine(), dist, [(3.0, 1.0), (5.0, 0.5)], "upper",
-                            seed=2, samples=4000)
+    report = bound(dist, seed=2, samples=4000)
     assert purposes == ["moments"]
-    # each order alone draws the same batch, so the values are unchanged
+    assert "monte_carlo" in {mv.method for mv in report.moments_used}
+    # each order alone draws the same batch, so the values are unchanged:
+    # every entry point passes its seed and sample count through
     for mv in report.moments_used:
-        alone = dist.abs_central_moment(mv.p, seed=2, samples=4000)
-        assert mv.method == "monte_carlo" and mv == alone
+        assert mv == dist.abs_central_moment(mv.p, seed=2, samples=4000)
 
 
 def test_power_sum_overflow_is_evaluation_error():

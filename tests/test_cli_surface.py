@@ -164,9 +164,18 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
      "returned a non-finite value"),
     (["bound", "--kind", "upper", "--alpha", "2", "--n", "2", "--function", COS,
       "--dist", MEAN_OF_3, "--shift", "inf"], "'slope' must be a finite number, got inf"),
+    # a kind or variant that is not text cannot be looked up
+    (["oracle", "--function", '{"kind": []}', "--dist", LAPLACE],
+     "unknown function kind []"),
+    (["oracle", "--function", COS, "--dist", '{"variant": {}}'],
+     "unknown distribution variant {}"),
+    # 4 mu^3 overflows a double
+    (["oracle", "--function", '{"kind": "pow4", "mu": 1e200}',
+      "--dist", '{"variant": "two_point", "mu": 1e200, "sigma": 1}'],
+     "pow4 has no finite slope at mu = 1e+200"),
 ], ids=["overflowing_moment", "fractional_q", "overflowing_bound",
         "overflowing_lower_value", "zero_samples", "one_sample", "overflowing_rule",
-        "infinite_shift"])
+        "infinite_shift", "list_kind", "object_variant", "overflowing_slope"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()

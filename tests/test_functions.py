@@ -106,6 +106,15 @@ def test_make_function_rejects_bad_input():
             custom_function(np.cos, mu)
         with pytest.raises(InvalidParameterError, match="'slope' must be a finite number"):
             linear_shift(make_function("sin", 0.0), mu)
+    # a kind or slope at mu that no double holds is refused, not a traceback or an inf
+    with pytest.raises(InvalidParameterError, match="unknown function kind"):
+        make_function([], 0.0)
+    with pytest.raises(InvalidParameterError, match="pow4 has no finite slope at mu = 1e"):
+        make_function("pow4", 1e200)  # 4 mu^3 raises OverflowError
+    with pytest.raises(InvalidParameterError, match="polynomial has no finite slope"):
+        make_function("polynomial", 1e200, coeffs=[0.0, 0.0, 1e200])
+    with pytest.raises(InvalidParameterError, match="log has no finite slope at mu = 1e-320"):
+        make_function("log", 1e-320, domain=[1e-321, None])
 
 
 def test_evaluate_guards():
