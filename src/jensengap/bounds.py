@@ -146,7 +146,17 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     def formula(m):
         top = _fsum(c * m[r] for c, r in num)
         bottom = _fsum(c * (1.0 if r is None else m[r]) for c, r in den)
-        return M.value * top ** power / bottom ** root
+        try:
+            value = M.value * top ** power / bottom ** root
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        # a power or the product overflowed, but the bound itself may fit: take
+        # the formula in base-2 logs, each factor's mantissa and exponent apart
+        (m_M, e), (m_t, e_t), (m_d, e_d) = (math.frexp(v) for v in (M.value, top, bottom))
+        e += power * e_t - root * e_d
+        return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
 
     try:
         value, unc = _evaluate_with_uncertainty(formula, moments)

@@ -199,21 +199,27 @@ def _qk21(h, lo, hi):
     resabs = np.abs(fx) @ _GK_KRONROD_WEIGHTS * np.abs(half)
     resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK_KRONROD_WEIGHTS * np.abs(half)
     err = np.abs((resk - fx @ _GK_GAUSS_WEIGHTS) * half)
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
-    err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.where(resabs > _FLOOR_MIN, np.maximum(50.0 * _EPS * resabs, err), err)
+    if resasc.min() > 0 and resabs.min() > _FLOOR_MIN:  # no cell needs a mask
+        err = np.maximum(50.0 * _EPS * resabs,
+                         resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5))
+    else:
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
+        err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        err = np.where(resabs > _FLOOR_MIN, np.maximum(50.0 * _EPS * resabs, err), err)
     return resk * half, err
 
 
 def _gauss_kronrod(h, a, mid, b, nodes):
     """Integral of the vectorized ``h`` over [a, b], split at ``mid``.
 
-    Returns (value, error estimate, evaluations).  Each pass evaluates ``h``
-    once on the nodes of every new subinterval, then bisects every
-    subinterval whose error estimate exceeds its width's share of the
-    tolerance.  ``nodes`` caps the evaluations; when it runs out, the worst
-    subintervals are bisected first and the summed estimate is returned as
-    it stands, however large.
+    Returns (value, error estimate, evaluations).  The subintervals are the
+    columns of one (4, P) table of lo, hi, value and error estimate.  Each
+    pass evaluates ``h`` once on the nodes of every new subinterval, then
+    bisects every subinterval whose error estimate exceeds its width's share
+    of the tolerance; the kept columns stay in order, followed by the left
+    and then the right halves.  ``nodes`` caps the evaluations; when it runs
+    out, the worst subintervals are bisected first and the summed estimate
+    is returned as it stands, however large.
     """
     nodes = check_count(nodes, "nodes")
     if nodes < MIN_NODES:
@@ -221,27 +227,25 @@ def _gauss_kronrod(h, a, mid, b, nodes):
             f"nodes must be at least {MIN_NODES} (one {_RULE_POINTS}-point rule "
             f"either side of the mean), got {nodes}")
     lo, hi = np.array([a, mid]), np.array([mid, b])
-    values, errs = _qk21(h, lo, hi)
+    cells = np.array([lo, hi, *_qk21(h, lo, hi)])
     evals = MIN_NODES
     while True:
-        value, err = float(np.sum(values)), float(np.sum(errs))
+        value, err = cells[2:].sum(axis=1).tolist()
         tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+        lo, hi, _, errs = cells
         split = errs > tol * (hi - lo) / (b - a)
         room = (nodes - evals) // MIN_NODES
-        if err <= tol or room == 0 or not split.any():
+        count = np.count_nonzero(split)
+        if err <= tol or room == 0 or count == 0:
             return value, err, evals
-        if np.count_nonzero(split) > room:
+        if count > room:
             split = np.zeros_like(split)
             split[np.argsort(-errs, kind="stable")[:room]] = True
-        keep = ~split
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mids])
-        new_hi = np.concatenate([mids, hi[split]])
-        new_values, new_errs = _qk21(h, new_lo, new_hi)
-        evals += _RULE_POINTS * len(new_lo)
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        values = np.concatenate([values[keep], new_values])
-        errs = np.concatenate([errs[keep], new_errs])
+        lo, hi = cells[:2, split]
+        edges = np.array([lo, 0.5 * (lo + hi), hi])
+        lo, hi = edges[:2].ravel(), edges[1:].ravel()
+        cells = np.concatenate([cells[:, ~split], [lo, hi, *_qk21(h, lo, hi)]], axis=1)
+        evals += _RULE_POINTS * len(lo)
 
 
 class Distribution(ABC):
@@ -264,10 +268,14 @@ class Distribution(ABC):
 
     @abstractmethod
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
+               seed=None, growth_hint=None, label="g"):
         """E[g(X)] as an Expectation tuple.  ``nodes`` (quadrature, at least
         MIN_NODES) and ``samples`` (Monte Carlo, at least 2) are counts,
-        checked by ``check_count`` only on the route that uses them."""
+        checked by ``check_count`` only on the route that uses them.  ``g``
+        is a bare rule whose values ``expect`` alone checks, by one
+        ``functions._apply_rule`` per batch of points (the atoms, the draws,
+        a quadrature pass, a set of tail probes); a non-finite value raises
+        EvaluationError naming ``label``."""
 
     @abstractmethod
     def to_dict(self):
@@ -393,8 +401,8 @@ class Discrete(Distribution):
         return rng.choice(xs, size=check_count(count, "count"), p=qs / qs.sum())
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
-        vals = _apply_rule(g, np.array([x for x, _ in self.points]), "g")
+               seed=None, growth_hint=None, label="g"):
+        vals = _apply_rule(g, np.array([x for x, _ in self.points]), label)
         total = math.fsum(q * v for (_, q), v in zip(self.points, vals))
         return Expectation(total, 0.0, "exact_sum", len(self.points))
 
@@ -490,11 +498,11 @@ class _NamedContinuous(Distribution):
         """log E|X - mean|^p."""
         raise NotImplementedError
 
-    def _fit_growth(self, g, t_offset, growth_hint):
+    def _fit_growth(self, g, t_offset, growth_hint, label):
         mu = self.mean()
         offs = t_offset * _GROWTH_PROBES
         xs = np.concatenate([mu + offs, mu - offs])
-        vals = np.abs(_apply_rule(g, xs, "g"))
+        vals = np.abs(_apply_rule(g, xs, label))
         if growth_hint is not None:
             k = float(growth_hint)
         else:
@@ -505,22 +513,22 @@ class _NamedContinuous(Distribution):
         c = 2.0 * float(np.max(vals / (1.0 + np.abs(xs - mu) ** k)))
         return max(c, 1e-300), k
 
-    def _log_tail_bound(self, g, t_offset, growth_hint):
-        c, k = self._fit_growth(g, t_offset, growth_hint)
+    def _log_tail_bound(self, g, t_offset, growth_hint, label="g"):
+        c, k = self._fit_growth(g, t_offset, growth_hint, label)
         log_mass = self._log_tail_mass(t_offset)
         # E[|g| ; tail] <= C (P(tail) + sqrt(E|X-m|^(2k)) sqrt(P(tail)))
         log_cs = 0.5 * self._log_abs_moment_pow(2.0 * k) + 0.5 * log_mass
         return math.log(c) + np.logaddexp(log_mass, log_cs)
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
+               seed=None, growth_hint=None, label="g"):
         mu = self.mean()
         pdf, missed = self._density()
         peak = 0.0
 
         def integrand(xs):
             nonlocal peak
-            vals = _apply_rule(g, xs, "g")
+            vals = _apply_rule(g, xs, label)
             if missed:
                 peak = max(peak, float(np.max(np.abs(vals))))
             return vals * pdf(xs)
@@ -535,7 +543,7 @@ class _NamedContinuous(Distribution):
         t_offset = 12.0 * self._scale()
         log_skip = math.inf  # a radius whose log tail bound exceeds this cannot pass
         for i in range(16):
-            log_tail = self._log_tail_bound(g, t_offset, growth_hint)
+            log_tail = self._log_tail_bound(g, t_offset, growth_hint, label)
             if log_tail > log_skip:
                 t_offset *= 1.6
                 continue
@@ -825,12 +833,12 @@ class MeanOfN(_NamedContinuous):
         return isinstance(self.base, (Gaussian, Laplace, Uniform))
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, growth_hint=None):
+               seed=None, growth_hint=None, label="g"):
         if isinstance(self.base, Gaussian):
-            return self._gaussian().expect(g, nodes=nodes, growth_hint=growth_hint)
+            return self._gaussian().expect(g, nodes=nodes, growth_hint=growth_hint, label=label)
         if self._has_density():
-            return super().expect(g, nodes=nodes, growth_hint=growth_hint)
-        vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), "g")
+            return super().expect(g, nodes=nodes, growth_hint=growth_hint, label=label)
+        vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), label)
         return Expectation(*_monte_carlo(vals), "monte_carlo", len(vals))
 
     def _moment_pow(self, p, method, nodes, draws):

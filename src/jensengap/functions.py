@@ -157,7 +157,7 @@ def _apply_rule(rule, xs, label):
             raise ValueError
     except Exception:
         vals = np.array([float(rule(x)) for x in xs])
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         bad = xs[~np.isfinite(vals)][:1]
         raise EvaluationError(f"{label} returned a non-finite value near x = {bad}")
     return vals
@@ -338,6 +338,9 @@ def linear_shift(f, a):
     base_rule, mu = f.rule, f.mu
     rule = lambda x: base_rule(x) - a * (np.asarray(x) - mu)
     slope = None if f.slope_at_mu is None else f.slope_at_mu - a
+    if slope is not None and not math.isfinite(slope):
+        raise InvalidParameterError(f"linear shift of {f.label}: slope at mu {f.slope_at_mu:g} "
+                                    f"less the shift {a:g} does not fit a double")
     desc = json.dumps({"base": f.to_dict(), "kind": "shifted", "slope": a}, sort_keys=True)
     return FunctionSpec(label=f"{f.label} - {a:g}*(x-{mu:g})", rule=rule,
                         domain=f.domain, mu=mu, slope_at_mu=slope, descriptor=desc)

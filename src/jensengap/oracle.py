@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, InvalidParameterError
-from .functions import GAP_BELOW, eval_many, evaluate
+from .functions import GAP_BELOW, evaluate
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def jensen_gap(f, dist, *, seed=None, **budget):
     mu = dist.mean()
     if not f.domain.contains(mu):
         raise DomainError(f"mean {mu} lies outside the domain of {f.label}")
-    est = dist.expect(lambda xs: eval_many(f, xs), seed=seed, **budget)
+    est = dist.expect(f.rule, seed=seed, label=f.label, **budget)
     gap = est.value - evaluate(f, mu)
     return GapEstimate(
         value=float(gap),

@@ -31,7 +31,7 @@ from jensengap.functions import (
     linear_shift,
     make_function,
 )
-from jensengap.oracle import jensen_gap
+from jensengap.oracle import jensen_gap, verify
 
 
 def flat_sine():
@@ -359,8 +359,24 @@ def test_power_sum_overflow_is_evaluation_error():
     assert all(math.isfinite(m.sigma_p_pow) for m in moments.values())
     with pytest.raises(EvaluationError, match="general_upper bound"):
         general_bounds(make_function("cos", 0.0), dist, terms, "upper")
-    # M = 2e10 and m_1^2 = 1e298 are finite; M m_1^2 is not
-    f = make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1e10])
+    # M = 1 and m_1 = 1e160 are finite; the bound m_1^2 / 2 = 5e319 is not
+    f = make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1.0])
     with pytest.raises(EvaluationError, match="lower_cauchy_schwarz bound"):
         lower_bound_cauchy_schwarz(inf_ratio_lower(f, 2.0, 2.0),
-                                   two_point(0.0, 1e149), 2.0, 2.0)
+                                   two_point(0.0, 1e160), 2.0, 2.0)
+
+
+def test_power_sum_bound_fits_though_its_product_overflows():
+    # M = 2e10 and m_1^2 = 1e298 are finite and M m_1^2 overflows, but the
+    # bound M m_1^2 / (1 + m_0) = 1e308 fits a double, and two points attain it
+    f = make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1e10])
+    M = inf_ratio_lower(f, 2.0, 2.0)
+    dist = two_point(0.0, 1e149)
+    report = lower_bound_cauchy_schwarz(M, dist, 2.0, 2.0)
+    gap = jensen_gap(f, dist)
+    assert report.value == pytest.approx(1e308, rel=1e-15) and report.value <= gap.value
+    assert report.uncertainty == 0.0
+    assert verify(report, gap).verdict == "pass"
+    # where every power and product fits, the plain expression stands to the last bit
+    small = lower_bound_cauchy_schwarz(M, two_point(0.0, 1e100), 2.0, 2.0)
+    assert small.value == M.value * 1e100 ** 2.0 / 2.0

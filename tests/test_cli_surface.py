@@ -146,11 +146,6 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", SQUARE,
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e160}'],
      "lower_cauchy_schwarz bound"),
-    # M = 2e10 and m_1^2 = 1e298 are finite; M m_1^2 is not
-    (["bound", "--kind", "lower", "--alpha", "2", "--beta", "2",
-      "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
-      "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e149}'],
-     "lower_cauchy_schwarz bound on this discrete distribution overflows"),
     # a Monte Carlo mean needs a count of draws, and its error bar two of them
     (["oracle", "--function", COS, "--dist", MEAN_OF_3, "--samples", "0"],
      "samples must be a positive integer"),
@@ -162,8 +157,22 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e150}'],
      "returned a non-finite value"),
+    # the gap's rule overflows: at a tail probe, and inside the quadrature
+    (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
+      "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}'],
+     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [12.]"),
+    (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
+      "--dist", '{"variant": "mean_of_n", "n": 3, '
+      '"base": {"variant": "uniform", "lo": -1e200, "hi": 1e200}}'],
+     "error: poly[0, 0, 1e+307] returned a non-finite value near x = ["),
     (["bound", "--kind", "upper", "--alpha", "2", "--n", "2", "--function", COS,
       "--dist", MEAN_OF_3, "--shift", "inf"], "'slope' must be a finite number, got inf"),
+    # each slope fits a double, but the shifted slope at mu does not
+    (["bound", "--kind", "upper", "--alpha", "2", "--n", "2", "--function",
+      '{"kind": "shifted", "base": {"kind": "polynomial", "mu": 0, "coeffs": [0, 1e308]},'
+      ' "slope": -1e308}', "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1}'],
+     "linear shift of poly[0, 1e+308]: slope at mu 1e+308 less the shift -1e+308 "
+     "does not fit a double"),
     # a kind or variant that is not text cannot be looked up
     (["oracle", "--function", '{"kind": []}', "--dist", LAPLACE],
      "unknown function kind []"),
@@ -174,11 +183,25 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--dist", '{"variant": "two_point", "mu": 1e200, "sigma": 1}'],
      "pow4 has no finite slope at mu = 1e+200"),
 ], ids=["overflowing_moment", "fractional_q", "overflowing_bound",
-        "overflowing_lower_value", "zero_samples", "one_sample", "overflowing_rule",
-        "infinite_shift", "list_kind", "object_variant", "overflowing_slope"])
+        "zero_samples", "one_sample", "overflowing_rule", "overflowing_gap_probe",
+        "overflowing_gap_quadrature", "infinite_shift",
+        "overflowing_shifted_slope", "list_kind", "object_variant", "overflowing_slope"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")
     assert words in captured.err
+
+
+def test_lower_bound_fits_though_its_product_overflows(capsys):
+    # M = 2e10 and m_1^2 = 1e298 are finite and M m_1^2 is not, but the
+    # bound M m_1^2 / (1 + m_0) = 1e308 fits a double
+    code = cli.main(["bound", "--kind", "lower", "--alpha", "2", "--beta", "2",
+                     "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
+                     "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e149}',
+                     "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["report"]["value"] == pytest.approx(1e308, rel=1e-15)
+    assert out["verify"]["verdict"] == "pass"

@@ -142,6 +142,17 @@ def test_linear_shift_rule_and_slope():
     assert evaluate(g, f.mu) == evaluate(f, f.mu)
 
 
+def test_linear_shift_refuses_a_slope_past_a_double():
+    f = make_function("polynomial", 0.0, coeffs=[0, 1e308])
+    with pytest.raises(InvalidParameterError,
+                       match=r"slope at mu 1e\+308 less the shift -1e\+308 does not fit"):
+        linear_shift(f, -1e308)
+    # the descriptor route reads the same shift
+    with pytest.raises(InvalidParameterError, match="does not fit a double"):
+        function_from_dict({"kind": "shifted", "base": f.to_dict(), "slope": -1e308})
+    assert linear_shift(f, 1e308).slope_at_mu == 0.0
+
+
 def test_select_shift_slope_declared_and_estimated():
     assert select_shift_slope(make_function("pow4", 1.0)) == pytest.approx(4.0)
     cube = custom_function(lambda x: np.asarray(x) ** 3, 0.7)

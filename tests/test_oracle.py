@@ -15,7 +15,7 @@ from jensengap.distributions import (
     two_point,
 )
 from jensengap.envelope import sup_ratio_upper
-from jensengap.errors import DomainError, InvalidParameterError
+from jensengap.errors import DomainError, EvaluationError, InvalidParameterError
 from jensengap.functions import (
     GAP_BELOW,
     Interval,
@@ -70,6 +70,24 @@ def test_scalar_only_rule_matches_builtin():
     scalar = jensen_gap(custom_function(math.cos, 0.0), dist)
     assert scalar.method == "quadrature"
     assert abs(scalar.value - builtin.value) <= scalar.abs_error
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("dist", [
+    Gaussian(0.0, 1.0), Laplace(0.0, 1.0), Uniform(-1.0, 1.0),
+    mean_of_n(Gaussian(0.0, 1.0), 4), mean_of_n(Laplace(0.0, 1.0), 4),
+    mean_of_n(Uniform(-1.0, 1.0), 3), two_point(0.4, 0.1), mean_of_n(two_point(0.4, 0.1), 2),
+], ids=["gaussian", "laplace", "uniform", "mean_of_gaussian", "mean_of_laplace",
+        "mean_of_uniform", "exact_sum", "monte_carlo"])
+def test_non_finite_rule_in_the_support_names_the_function(dist, bad):
+    # finite at every tail probe; the first quadrature pass, the atoms and
+    # the draws all fall in the band
+    rule = lambda x: np.where(np.abs(np.asarray(x) - 0.4) < 0.5, bad, np.cos(x))
+    f = custom_function(rule, 0.0, label="banded")
+    with pytest.raises(EvaluationError,
+                       match=r"^banded returned a non-finite value near x = \[") as exc:
+        jensen_gap(f, dist)
+    assert abs(float(str(exc.value).rsplit("[", 1)[1].rstrip("]")) - 0.4) < 0.5
 
 
 @pytest.mark.parametrize("dist, want", [
