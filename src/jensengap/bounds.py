@@ -152,8 +152,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
             value = math.inf
         if math.isfinite(value):
             return value
-        # a power or the product overflowed, but the bound itself may fit: take
-        # the formula in base-2 logs, each factor's mantissa and exponent apart
+        # a power or product overflowed; the bound may fit: binary exponents apart
         (m_M, e), (m_t, e_t), (m_d, e_d) = (math.frexp(v) for v in (M.value, top, bottom))
         e += power * e_t - root * e_d
         return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
