@@ -111,6 +111,19 @@ def _fsum(terms):
         return math.inf
 
 
+def _frexp_sum(total, terms):
+    """frexp of the sum of c * v over (c, v) pairs >= 0, whose float ``total``
+    is given.  Where that overflowed, every term is scaled by the binary
+    exponent of the largest before summing, so the sum never forms."""
+    if math.isfinite(total):
+        return math.frexp(total)
+    parts = [(m_c * m_v, e_c + e_v) for (m_c, e_c), (m_v, e_v) in
+             ((math.frexp(c), math.frexp(v)) for c, v in terms)]
+    top = max(e for _, e in parts)
+    mant, e = math.frexp(math.fsum(math.ldexp(x, e - top) for x, e in parts))
+    return mant, e + top
+
+
 def _evaluate_with_uncertainty(formula, moments):
     """Apply a formula of the m_r values; bump each by its error estimate.
 
@@ -144,16 +157,19 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     moments = dist.abs_central_moments(orders, **moment_kw)
 
     def formula(m):
-        top = _fsum(c * m[r] for c, r in num)
-        bottom = _fsum(c * (1.0 if r is None else m[r]) for c, r in den)
+        tops = [(c, m[r]) for c, r in num]
+        bottoms = [(c, 1.0 if r is None else m[r]) for c, r in den]
+        top, bottom = (_fsum(c * v for c, v in terms) for terms in (tops, bottoms))
         try:
             value = M.value * top ** power / bottom ** root
         except OverflowError:
             value = math.inf
         if math.isfinite(value):
             return value
-        # a power or product overflowed; the bound may fit: binary exponents apart
-        (m_M, e), (m_t, e_t), (m_d, e_d) = (math.frexp(v) for v in (M.value, top, bottom))
+        # a sum, power or product overflowed; the bound may fit: binary
+        # exponents apart
+        (m_M, e), (m_t, e_t), (m_d, e_d) = (
+            math.frexp(M.value), _frexp_sum(top, tops), _frexp_sum(bottom, bottoms))
         e += power * e_t - root * e_d
         return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
 

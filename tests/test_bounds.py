@@ -351,15 +351,22 @@ def test_monte_carlo_orders_share_one_batch(monkeypatch, bound):
 
 
 def test_power_sum_overflow_is_evaluation_error():
-    # every moment is finite, but the power sum passes a double; an inf read
-    # off the overflow would be a false lower bound, so every kind raises
+    # every moment is finite and the power sum 1.5e8 m_2 + 1e8 m_2.0001
+    # passes a double, but M times it, about 5.07e299, fits: the sum is
+    # scaled by its largest binary exponent, so it is never formed
+    f = make_function("cos", 0.0)
     dist = two_point(0.0, 1e150)
     terms = [(2.0, 1.5e8), (2.0001, 1e8)]
     moments = dist.abs_central_moments([2.0, 2.0001])
     assert all(math.isfinite(m.sigma_p_pow) for m in moments.values())
-    with pytest.raises(EvaluationError, match="general_upper bound"):
-        general_bounds(make_function("cos", 0.0), dist, terms, "upper")
-    # M = 1 and m_1 = 1e160 are finite; the bound m_1^2 / 2 = 5e319 is not
+    report = general_bounds(f, dist, terms, "upper")
+    scaled = math.fsum(c * moments[r].sigma_p_pow / 1e300 for r, c in terms)
+    assert report.value == pytest.approx(report.envelope.value * scaled * 1e300, rel=1e-15)
+    assert report.value == pytest.approx(5.07e299, rel=1e-3)
+    assert verify(report, jensen_gap(f, dist)).verdict == "pass"
+    # an inf read off an overflow would be a false bound, so a bound that
+    # does not fit raises: M = 1 and m_1 = 1e160 are finite, the bound
+    # m_1^2 / 2 = 5e319 is not
     f = make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1.0])
     with pytest.raises(EvaluationError, match="lower_cauchy_schwarz bound"):
         lower_bound_cauchy_schwarz(inf_ratio_lower(f, 2.0, 2.0),
