@@ -21,8 +21,8 @@ Each distribution also knows how to take a plain expectation E[g(X)]
 (``expect``), which is the computational core of the gap oracle: exact
 summation where the support is finite, adaptive Gauss-Kronrod quadrature
 for the named densities and the means of Laplace or uniform draws (its
-error bar is the rule's estimate plus, on unbounded support, a rigorous
-bound on the truncated tail), Monte Carlo for means of other bases.
+error bar is the rule's estimate plus, on unbounded support, a fitted
+estimate of the truncated tail), Monte Carlo for means of other bases.
 """
 
 import math
@@ -209,7 +209,7 @@ def _qk21(h, lo, hi):
     return resk * half, err
 
 
-def _gauss_kronrod(h, a, mid, b, nodes):
+def _gauss_kronrod(h, a, mid, b, nodes, kept=None):
     """Integral of the vectorized ``h`` over [a, b], split at ``mid``.
 
     Returns (value, error estimate, evaluations).  The subintervals are the
@@ -220,15 +220,32 @@ def _gauss_kronrod(h, a, mid, b, nodes):
     and then the right halves.  ``nodes`` caps the evaluations; when it runs
     out, the worst subintervals are bisected first and the summed estimate
     is returned as it stands, however large.
+
+    ``kept``, when given, is a list that carries the final cell table and
+    its evaluation count from one call to the next.  A call over a wider
+    [a, b] that finds them there, with at least 2 MIN_NODES evaluations
+    left, starts from that table: each of the two shells between its ends
+    and a and b is appended as its two halves, since a whole shell is most
+    often bisected by the next pass, and the passes go on with the tolerance
+    and split rule of the whole [a, b], which may split old cells too.  The
+    count carries over, so it still stays within ``nodes``.  With fewer
+    evaluations left, [a, b] is integrated from scratch.
     """
     nodes = check_count(nodes, "nodes")
     if nodes < MIN_NODES:
         raise InvalidParameterError(
             f"nodes must be at least {MIN_NODES} (one {_RULE_POINTS}-point rule "
             f"either side of the mean), got {nodes}")
-    lo, hi = np.array([a, mid]), np.array([mid, b])
-    cells = np.array([lo, hi, *_qk21(h, lo, hi)])
-    evals = MIN_NODES
+    if kept and nodes - kept[1] >= 2 * MIN_NODES:
+        cells, evals = kept
+        a1, b1 = cells[0].min(), cells[1].max()
+        lo = np.array([a, 0.5 * (a + a1), b1, 0.5 * (b1 + b)])
+        hi = np.array([lo[1], a1, lo[3], b])
+    else:
+        cells, evals = np.empty((4, 0)), 0
+        lo, hi = np.array([a, mid]), np.array([mid, b])
+    cells = np.concatenate([cells, [lo, hi, *_qk21(h, lo, hi)]], axis=1)
+    evals += _RULE_POINTS * len(lo)
     while True:
         value, err = cells[2:].sum(axis=1).tolist()
         tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
@@ -237,6 +254,8 @@ def _gauss_kronrod(h, a, mid, b, nodes):
         room = (nodes - evals) // MIN_NODES
         count = np.count_nonzero(split)
         if err <= tol or room == 0 or count == 0:
+            if kept is not None:
+                kept[:] = cells, evals
             return value, err, evals
         if count > room:
             split = np.zeros_like(split)
@@ -459,7 +478,7 @@ class Empirical(Discrete):
 # Named continuous families
 
 class _NamedContinuous(Distribution):
-    """Shared quadrature machinery: estimated rule error, rigorous tail bound.
+    """Shared quadrature machinery: estimated rule error, fitted tail estimate.
 
     The named families are symmetric about their mean; ``MeanOfN`` reuses
     the machinery for the mean of n Laplace or uniform draws.  Each family
@@ -470,16 +489,21 @@ class _NamedContinuous(Distribution):
     quadrature.  Otherwise E[g(X)] is taken over [mean - T, mean + T] by the
     same quadrature, whose error is an estimate, not a bound.  T
     runs through 12 scale, 12 scale * 1.6, ... and the first T whose
-    analytic bound on the discarded tail is at most TAIL_REL_TOL of the
-    integral is kept.  The tail bound needs no quadrature, so T is chosen
-    before integrating: once the first pass has converged, twice its
+    estimate of the discarded tail is at most TAIL_REL_TOL of the integral
+    is kept.  The tail estimate needs no quadrature, so T is chosen before
+    integrating: once the first pass has converged, twice its
     |integral| + tail + rule error bounds the integral at every wider T, and
-    radii whose tail bound is above TAIL_REL_TOL of that are never
+    radii whose tail estimate is above TAIL_REL_TOL of that are never
     integrated.  When the first pass runs out of ``nodes``, every radius is
-    integrated and tested.  The tail bound fits |g(x)| <= C (1 + |x - mean|^k)
-    from probes beyond T (or from ``growth_hint`` when the caller knows k)
-    and then applies Cauchy-Schwarz against the family's closed-form
-    moments, all in log space so extreme parameters cannot overflow.
+    integrated and tested.  A wider radius continues the cell table of the
+    last one integrated: only the two shells between the radii are new,
+    and ``_gauss_kronrod`` refines the whole table against the tolerance of
+    the whole integral.  The tail estimate fits
+    |g(x)| <= C (1 + |x - mean|^k) to probes beyond T (or takes k from
+    ``growth_hint`` when the caller knows it), scales the fit up, and then
+    applies Cauchy-Schwarz against the family's closed-form moments, all in
+    log space so extreme parameters cannot overflow.  A feature of g beyond
+    the probes escapes the fit, so the tail term is an estimate, not a bound.
     """
 
     def _scale(self):
@@ -542,13 +566,14 @@ class _NamedContinuous(Distribution):
             return Expectation(value, quad_err + missed * peak, "quadrature", evals)
         t_offset = 12.0 * self._scale()
         log_skip = math.inf  # a radius whose log tail bound exceeds this cannot pass
+        kept = []  # the cell table and count of the last radius integrated
         for i in range(16):
             log_tail = self._log_tail_bound(g, t_offset, growth_hint, label)
             if log_tail > log_skip:
                 t_offset *= 1.6
                 continue
             value, quad_err, evals = _gauss_kronrod(
-                integrand, mu - t_offset, mu, mu + t_offset, nodes)
+                integrand, mu - t_offset, mu, mu + t_offset, nodes, kept)
             tol = TAIL_REL_TOL * max(abs(value), 1e-6)
             if log_tail <= math.log(tol):
                 tail = math.exp(log_tail)

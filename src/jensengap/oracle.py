@@ -21,13 +21,15 @@ class GapEstimate:
     """One oracle gap value with its error bar.
 
     ``abs_error`` is a 95% confidence radius for Monte Carlo; for quadrature
-    it is the rule's error estimate plus a rigorous bound on what truncation
-    drops (the tail, or for a mean of uniform draws the inversion integral
-    beyond its cut), so it is an estimate, not a bound.  Exact sums report 0.
-    ``count`` is the number of integrand evaluations of the final quadrature
-    (at most ``nodes``; for a mean of N draws, evaluations of f times the
-    density of the mean), of atoms summed, or of Monte Carlo draws (the
-    ``samples`` means of N base draws each).
+    it is the rule's error estimate plus what truncation drops: a fitted
+    estimate of the tail, or for a mean of uniform draws a bound on the
+    inversion integral beyond its cut.  Either way it is an estimate,
+    not a bound.  Exact sums report 0.  ``count`` is the number of integrand
+    evaluations that built the quadrature's final cell table, over every
+    truncation radius it spans, not only the last (at most ``nodes``; for a
+    mean of N draws, evaluations of f times the density of the mean), of
+    atoms summed, or of Monte Carlo draws (the ``samples`` means of N base
+    draws each).
     """
 
     value: float
