@@ -814,7 +814,9 @@ class MeanOfN(_NamedContinuous):
       point, contracted by einsum.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
-    with CLT error bars for their gaps and their other moment orders.  The
+    with CLT error bars for their gaps and their other moment orders.  A gap
+    sample whose draws all give g one value has a spread of 0; unless the
+    base is a point mass, its error bar is then inf, not 0.  The
     exact mean is inherited from the base, so the oracle's f(E[X]) term
     stays exact.
     """
@@ -864,7 +866,13 @@ class MeanOfN(_NamedContinuous):
         if self._has_density():
             return super().expect(g, nodes=nodes, growth_hint=growth_hint, label=label)
         vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), label)
-        return Expectation(*_monte_carlo(vals), "monte_carlo", len(vals))
+        value, err = _monte_carlo(vals)
+        support = self.support_interval()
+        if err == 0.0 and support.lo < support.hi:
+            # every draw gave g one value, but the law is not a point mass:
+            # the sample says nothing of the spread, so the bar is unbounded
+            err = math.inf
+        return Expectation(value, err, "monte_carlo", len(vals))
 
     def _moment_pow(self, p, method, nodes, draws):
         if method in ("auto", "closed_form") and p % 2 == 0 and p <= MAX_SERIES_ORDER:

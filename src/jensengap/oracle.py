@@ -20,10 +20,11 @@ from .functions import GAP_BELOW, evaluate
 class GapEstimate:
     """One oracle gap value with its error bar.
 
-    ``abs_error`` is a 95% confidence radius for Monte Carlo; for quadrature
-    it is the rule's error estimate plus what truncation drops: a fitted
-    estimate of the tail, or for a mean of uniform draws a bound on the
-    inversion integral beyond its cut.  Either way it is an estimate,
+    ``abs_error`` is a 95% confidence radius for Monte Carlo, or inf where
+    every draw gave one value though the law is not a point mass; for
+    quadrature it is the rule's error estimate plus what truncation drops: a
+    fitted estimate of the tail, or for a mean of uniform draws a bound on
+    the inversion integral beyond its cut.  Either way it is an estimate,
     not a bound.  Exact sums report 0.  ``count`` is the number of integrand
     evaluations that built the quadrature's final cell table, over every
     truncation radius it spans, not only the last (at most ``nodes``; for a

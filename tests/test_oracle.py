@@ -137,6 +137,21 @@ def test_monte_carlo_error_shrinks_with_samples():
     assert 1.5 <= ratio <= 2.7
 
 
+def test_monte_carlo_gap_without_spread_is_inconclusive():
+    f = make_function("cos", 0.0)
+    # all five means of three draws from {-1, 1} land on +-1/3, where cos
+    # takes one value; the exact gap is -0.156, so a bar of 0 would be false
+    dist = mean_of_n(two_point(0.0, 1.0), 3)
+    gap = jensen_gap(f, dist, samples=5, seed=1)
+    assert gap.method == "monte_carlo" and gap.value == pytest.approx(math.cos(1 / 3) - 1)
+    assert gap.abs_error == math.inf
+    report = upper_bound(sup_ratio_upper(f, 2.0, 2.0), dist, 2.0, 2.0)
+    assert verify(report, gap).verdict == "inconclusive"
+    # a point-mass base has no spread to miss, so its bar stays 0
+    point = jensen_gap(f, mean_of_n(Empirical((0.5, 0.5)), 3), samples=5, seed=1)
+    assert point.method == "monte_carlo" and (point.value, point.abs_error) == (0.0, 0.0)
+
+
 def test_support_outside_domain_rejected():
     log = make_function("log", 1.0, domain=Interval(0.5, math.inf))
     with pytest.raises(DomainError):
