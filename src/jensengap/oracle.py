@@ -22,15 +22,13 @@ class GapEstimate:
 
     ``abs_error`` is a 95% confidence radius for Monte Carlo, or inf where
     every draw gave one value though the law is not a point mass; for
-    quadrature it is the rule's error estimate plus what truncation drops: a
-    fitted estimate of the tail, or for a mean of uniform draws a bound on
-    the inversion integral beyond its cut.  Either way it is an estimate,
-    not a bound.  Exact sums report 0.  ``count`` is the number of integrand
-    evaluations that built the quadrature's final cell table, over every
-    truncation radius it spans, not only the last (at most ``nodes``; for a
-    mean of N draws, evaluations of f times the density of the mean), of
-    atoms summed, or of Monte Carlo draws (the ``samples`` means of N base
-    draws each).
+    quadrature on a named law it is the rule's error estimate, plus for a
+    mean of uniform draws a bound on the inversion integral beyond its cut.
+    Either way it is an estimate, not a bound.  Exact sums report 0.
+    ``count`` is the number of integrand evaluations of the one quadrature
+    pass (at most ``nodes``; for a mean of N draws, evaluations of f times
+    the density of the mean), of atoms summed, or of Monte Carlo draws (the
+    ``samples`` means of N base draws each).
     """
 
     value: float
@@ -64,8 +62,7 @@ class VerifyResult:
 
 def jensen_gap(f, dist, *, seed=None, **budget):
     """E[f(X)] - f(E[X]) with method picked by the distribution's structure;
-    ``seed`` and the budget (``samples``, ``nodes``, ``growth_hint``) go to
-    ``dist.expect``."""
+    ``seed`` and the budget (``samples``, ``nodes``) go to ``dist.expect``."""
     support = dist.support_interval()
     if support.lo < f.domain.lo or support.hi > f.domain.hi:
         raise DomainError(

@@ -157,10 +157,11 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e150}'],
      "returned a non-finite value"),
-    # the gap's rule overflows: at a tail probe, and inside the quadrature
+    # the gap's rule overflows: at the outermost node of the whole-line map,
+    # and inside the quadrature of a bounded support
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}'],
-     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [12.]"),
+     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-919.05690906]"),
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "mean_of_n", "n": 3, '
       '"base": {"variant": "uniform", "lo": -1e200, "hi": 1e200}}'],

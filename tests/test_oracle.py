@@ -80,8 +80,8 @@ def test_scalar_only_rule_matches_builtin():
 ], ids=["gaussian", "laplace", "uniform", "mean_of_gaussian", "mean_of_laplace",
         "mean_of_uniform", "exact_sum", "monte_carlo"])
 def test_non_finite_rule_in_the_support_names_the_function(dist, bad):
-    # finite at every tail probe; the first quadrature pass, the atoms and
-    # the draws all fall in the band
+    # finite outside the band; the first quadrature pass, the atoms and the
+    # draws all fall in it
     rule = lambda x: np.where(np.abs(np.asarray(x) - 0.4) < 0.5, bad, np.cos(x))
     f = custom_function(rule, 0.0, label="banded")
     with pytest.raises(EvaluationError,
