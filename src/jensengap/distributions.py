@@ -277,8 +277,8 @@ class Distribution(ABC):
         checked by ``check_count`` only on the route that uses them.  ``g``
         is a bare rule whose values ``expect`` alone checks, by one
         ``functions._apply_rule`` per batch of points (the atoms, the draws,
-        a quadrature pass); a non-finite value raises
-        EvaluationError naming ``label``."""
+        a quadrature pass); a non-finite value raises EvaluationError naming
+        ``label``."""
 
     @abstractmethod
     def to_dict(self):

@@ -20,7 +20,6 @@ from jensengap.distributions import (
     QUAD_EPSREL,
     Discrete,
     Empirical,
-    Expectation,
     Gaussian,
     Laplace,
     MeanOfN,

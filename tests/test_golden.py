@@ -89,8 +89,8 @@ CASES = {
                                  "--dist", LAPLACE, *SEED],
     "oracle_cos_uniform": ["oracle", "--function", COS, "--dist", UNIFORM,
                            *SEED],
-    # 210 evaluations do not reach the tolerance on [-96, 96]: the printed
-    # value and error bar are what the exhausted budget gives
+    # 210 evaluations do not reach the tolerance over the mapped line: the
+    # printed value and error bar are what the exhausted budget gives
     "oracle_cos_wide_laplace_budget": ["oracle", "--function", COS,
                                        "--dist", WIDE_LAPLACE,
                                        "--nodes", "210", *SEED],
