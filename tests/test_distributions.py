@@ -138,8 +138,8 @@ IDENTITY_FUNCTIONS = (
 )
 
 
-def _random_law(rng, families):
-    family = families[int(rng.integers(len(families)))]
+def _random_law(rng):
+    family = (Gaussian, Laplace, MeanOfN, Uniform)[int(rng.integers(4))]
     mean = float(rng.uniform(-2.0, 2.0))
     scale = float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
     if family is Uniform:
@@ -180,7 +180,7 @@ def test_whole_line_quadrature_holds_its_bar():
     error (see the pinned Laplace case below)."""
     rng = np.random.default_rng(55)
     for _ in range(400):
-        dist = _random_law(rng, (Gaussian, Laplace, MeanOfN, Uniform))
+        dist = _random_law(rng)
         nodes = int(rng.choice([42, 84, 210, 2048]))
         index = int(rng.integers(len(IDENTITY_FUNCTIONS)))
         g = IDENTITY_FUNCTIONS[index]
