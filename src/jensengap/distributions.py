@@ -13,8 +13,11 @@ special cases.
 The mean of n independent draws (``MeanOfN``) takes its even integer
 moments in closed form from the base's central moments, for every base.
 Its expectations and other moments are exact where the base has a known
-density of the mean: a Gaussian base gives another Gaussian, and Laplace
-and uniform bases give a density that the quadrature below integrates.
+density of the mean: a Gaussian base gives another Gaussian, a Laplace base
+a mixture of Gamma laws and a uniform base the Irwin-Hall polynomial or,
+from IRWIN_HALL_BELOW draws on, its Fourier cosine series, whose dropped
+terms are bounded and join the error bar; the quadrature below integrates
+these densities.
 Discrete, empirical and nested bases fall back to seeded Monte Carlo.
 
 Each distribution also knows how to take a plain expectation E[g(X)]
@@ -50,15 +53,14 @@ QUAD_EPSREL = 1.49e-8
 _CHUNK = 1 << 24  # base draws per chunk when averaging, to bound memory
 # the mean of n uniform draws takes the Irwin-Hall polynomial density below
 # this n; it cancels catastrophically as n grows, so from this n on the
-# density is the Fourier inversion of the characteristic function
+# density is its Fourier cosine series, the characteristic function's terms
 IRWIN_HALL_BELOW = 8
-# the inversion integral is cut at the T where the dropped density, summed
-# over the support, is at most this bound (which joins the error bar)
+# the cosine series is cut where the dropped density, summed over the
+# support, is at most this bound (which joins the error bar)
 INVERSION_TOL = 1e-15
 # the closed-form moments of a mean of n draws cost about the cube of the
 # order; even orders above this take the route of the other orders
 MAX_SERIES_ORDER = 100
-_PANEL_PHASE = 4.0  # width of one inversion panel, times the half-width
 _OUTER_CELLS = 1 << 18  # table cells per block of density points
 # Laplace-mean mixture weights below this fraction of the largest are dropped
 _MIX_LOG_FLOOR = math.log(1e-20)
@@ -146,7 +148,7 @@ def _central_list(p, moment):
 def _blockwise(fn, xs, width):
     """``fn`` over xs in blocks, so that no table ``fn`` builds holds more
     than _OUTER_CELLS cells; ``width`` is the most cells its widest table
-    takes per point (the K panel centres of the uniform-mean inversion, the
+    takes per point (the cosine terms of the uniform-mean density, the
     mixture terms of the Laplace mean)."""
     step = max(1, _OUTER_CELLS // width)
     return np.concatenate([fn(xs[i:i + step]) for i in range(0, xs.size, step)])
@@ -684,20 +686,21 @@ def _inversion_cut(n, h):
     return min(power, hi / a)
 
 
-def _inversion_panels(n, h):
-    """(centres c, offsets o, weights) of the inversion integral of the
-    density of the mean of n uniform draws of half-width h: K equal panels
-    over [0, T], each short enough for cos(t (x - mu)) to be integrated to
-    rounding, take one K21 rule each.  The nodes are t = c_k + o_i, and the
-    (K, 21) weights hold the rule's weights times phi(t/n)^n / pi."""
-    cut = _inversion_cut(n, h)
-    panels = math.ceil(cut * h / _PANEL_PHASE)
-    half = 0.5 * cut / panels
-    centres = (2.0 * np.arange(panels) + 1.0) * half
-    offsets = half * _GK_NODES
-    ts = centres[:, None] + offsets
-    weights = half * _GK_KRONROD_WEIGHTS * _sinc_power(h * ts / n, n) / math.pi
-    return centres, offsets, weights
+def _cosine_series(n, h):
+    """(frequencies pi m / h, coefficients c_m / h) for m = 1..J of the density
+    of the mean of n >= 2 uniform draws of half-width h, which is
+    (1/h) (1/2 + sum_m c_m cos(pi m (x - mu) / h)), c_m = (sin u / u)^n at
+    u = pi m / n.
+
+    The density vanishes outside mu +- h and is continuous, so there it is
+    its own cosine series of period 2h (Poisson summation).  Its c_m are the
+    inversion integrand phi(t/n)^n sampled at step pi / h, so with
+    J = ceil(T h / pi) the terms dropped sum to at most the integral that
+    the cut at T drops: both of ``_inversion_cut``'s bounds decrease on
+    their own ranges, and c_n = 0 sits at their joint u = pi.
+    """
+    m = np.arange(1, math.ceil(_inversion_cut(n, h) * h / math.pi) + 1)
+    return math.pi / h * m, _sinc_power(math.pi / n * m, n) / h
 
 
 def _sinc_power(u, n):
@@ -727,15 +730,15 @@ class MeanOfN(_NamedContinuous):
       mixture of Gamma(k+1) laws, k < n, integrated over the whole line by
       the named families' quadrature;
     - a uniform base gives the Irwin-Hall density below IRWIN_HALL_BELOW
-      and the inversion (1/pi) int_0^T phi(t/n)^n cos(t (x - mu)) dt above
-      it, integrated over the bounded support; the density the cut at T
+      and above it the density's own cosine series on the support,
+      (1/h) (1/2 + sum_{m <= J} phi(pi m / (n h))^n cos(pi m (x - mu) / h))
+      for half-width h, integrated over the bounded support.  Its terms
+      sample the inversion integrand at step pi / h, so J = ceil(T h / pi)
+      for the cut T of the inversion integral, and the density the cut
       drops is bounded in closed form and joins the error bar.  T is the
       smaller of two certified cuts, one from |phi| <= 1/u, which grows
       like n, and one from |phi| <= exp(-u^2/6) below u = pi, which grows
       like sqrt(n) and is the smaller for 31 <= n <= 47 and n >= 116.
-      The inversion's nodes lie on K equal panels, t = c_k + o_i, so its
-      cosines factor into 21 offset and K centre cosines and sines per
-      point, contracted by einsum.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
     with CLT error bars for their gaps and their other moment orders.  A gap
@@ -846,7 +849,7 @@ class MeanOfN(_NamedContinuous):
         log_w = np.concatenate([[0.0], np.cumsum(np.log(2.0 * (n - 1 - j) / (2.0 * n - 2 - j)))])
         log_w -= math.log(math.fsum(np.exp(log_w)))
         k = np.flatnonzero(log_w >= log_w[0] + _MIX_LOG_FLOOR)
-        log_w = log_w[k] - np.array([math.lgamma(i + 1.0) for i in k])
+        log_w = log_w[k] - np.array([math.lgamma(i + 1.0) for i in k.tolist()])
 
         def mixture(xs):
             # S has density (1/2b) sum_k w_k z^k e^-z / k! at s, and X = mu + S/n
@@ -876,24 +879,16 @@ class MeanOfN(_NamedContinuous):
                 return norm * total
 
             return irwin_hall, 0.0
-        mu = self.mean()
-        centres, offsets, weights = _inversion_panels(n, 0.5 * width)
+        mu, h = self.mean(), 0.5 * width
+        freqs, coeffs = _cosine_series(n, h)
 
-        def inverted(xs):
-            # the nodes are t = c + o for the panel centres c and the K21
-            # offsets o, and cos((c + o) u) = cos(c u) cos(o u) - sin(c u)
-            # sin(o u): 21 + K trig calls per point instead of 21 K.  einsum
-            # contracts without BLAS, whose threads would cost more CPU than
-            # these 21-wide contractions save
-            u = xs - mu
-            cu, ou = np.multiply.outer(u, centres), np.multiply.outer(u, offsets)
-            a = np.einsum("xi,ki->xk", np.cos(ou), weights)
-            b = np.einsum("xi,ki->xk", np.sin(ou), weights)
-            return np.einsum("xk,xk->x", np.cos(cu), a) - np.einsum("xk,xk->x", np.sin(cu), b)
+        def series(xs):
+            # einsum contracts without BLAS, whose threads would cost more
+            # CPU than these contractions save
+            return 0.5 / h + np.einsum("xm,m->x", np.cos(np.multiply.outer(xs - mu, freqs)),
+                                       coeffs)
 
-        # K is at least 21 for every n (its least is 21, at n = 31), so the
-        # centre tables are the widest
-        return (lambda xs: _blockwise(inverted, xs, centres.size)), INVERSION_TOL
+        return (lambda xs: _blockwise(series, xs, coeffs.size)), INVERSION_TOL
 
     def to_dict(self):
         return {"variant": "mean_of_n", "base": self.base.to_dict(), "n": self.n}

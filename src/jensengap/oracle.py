@@ -23,7 +23,7 @@ class GapEstimate:
     ``abs_error`` is a 95% confidence radius for Monte Carlo, or inf where
     every draw gave one value though the law is not a point mass; for
     quadrature on a named law it is the rule's error estimate, plus for a
-    mean of uniform draws a bound on the inversion integral beyond its cut.
+    mean of uniform draws a bound on the cosine-series terms it drops.
     Either way it is an estimate, not a bound.  Exact sums report 0.
     ``count`` is the number of integrand evaluations of the one quadrature
     pass (at most ``nodes``; for a mean of N draws, evaluations of f times

@@ -369,48 +369,74 @@ def test_mean_of_n_cos_gaps_match_closed_forms(n):
             assert abs(gap.value - want) <= 2e-14
 
 
-@pytest.mark.parametrize("n", [8, 9, 16, 64, 256, 4096])
-def test_factored_inversion_matches_direct_cos_sum(monkeypatch, n):
-    avg = MeanOfN(Uniform(0.5, 2.0), n)
-    centres, offsets, weights = distributions._inversion_panels(n, 0.75)
-    ts = (centres[:, None] + offsets).ravel()
-    xs = np.linspace(0.5, 2.0, 201)
-    # the direct sum: one cos per point and node
-    want = (np.cos(np.multiply.outer(xs - 1.25, ts)) * weights.ravel()).sum(axis=1)
-    pdf, missed = avg._density()
-    got = pdf(xs)
-    assert missed == distributions.INVERSION_TOL
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # blocks of three points give the same values as one block
-    monkeypatch.setattr(distributions, "_OUTER_CELLS", 3 * centres.size)
+def _irwin_hall(n, lo, hi, x):
+    """The density of the mean of n Uniform(lo, hi) draws at x, exactly."""
+    width = Fraction(hi) - Fraction(lo)
+    s = n * (Fraction(x) - Fraction(lo)) / width
+    total = sum((-1) ** k * math.comb(n, k) * (s - k) ** (n - 1) for k in range(math.floor(s) + 1))
+    return n / width * total / math.factorial(n - 1)
+
+
+def _direct_inversion(n, lo, hi, xs):
+    """The density of the mean of n Uniform(lo, hi) draws at xs by the
+    inversion integral (1/pi) int_0^T phi(t/n)^n cos(t (x - mu)) dt, cut at
+    the certified T, on K21 panels of width 4/h, one cos per point and node."""
+    h = 0.5 * (hi - lo)
+    cut = distributions._inversion_cut(n, h)
+    panels = math.ceil(cut * h / 4.0)
+    half = 0.5 * cut / panels
+    ts = ((2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GK_NODES).ravel()
+    weights = np.tile(half * _GK_KRONROD_WEIGHTS, panels) * np.sinc(h * ts / (n * math.pi)) ** n
+    return np.cos(np.multiply.outer(xs - 0.5 * (lo + hi), ts)) @ weights / math.pi
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 16, 24, 64, 256, 4096])
+def test_series_density_matches_exact_density(monkeypatch, n):
+    for lo, hi in ((-1.0, 1.0), (0.5, 2.0), (-3.0, 7.0)):
+        avg = MeanOfN(Uniform(lo, hi), n)
+        xs = np.linspace(lo, hi, 61)
+        pdf, missed = avg._density()
+        got = pdf(xs)
+        assert missed == distributions.INVERSION_TOL
+        if n < 30:
+            want = np.array([float(_irwin_hall(n, lo, hi, x)) for x in xs])
+            tol = 1e-14
+        else:
+            # the exact sum takes n rational powers of degree n - 1 per
+            # point, so at large n the inversion integral is the reference
+            want = _direct_inversion(n, lo, hi, xs)
+            tol = 1e-13
+        assert np.max(np.abs(got - want)) <= tol * np.max(want), (lo, hi)
+        # the mass, by a 512-point Gauss-Legendre rule over the support
+        ts, ws = np.polynomial.legendre.leggauss(512)
+        mass = 0.5 * (hi - lo) * math.fsum(ws * pdf(0.5 * (lo + hi) + 0.5 * (hi - lo) * ts))
+        assert abs(mass - 1.0) <= 1e-14, (lo, hi)
+    # blocks of one point give the same values as one block
+    monkeypatch.setattr(distributions, "_OUTER_CELLS", 1)
     assert np.array_equal(avg._density()[0](xs), got)
-
-
-def _sinc_power_tail(n, h, cut):
-    """pi times the largest density the inversion drops beyond ``cut``: the
-    integral of |sin u / u|^n, u = h t / n, by a fine trapezoid rule up to
-    the larger of 4 cut and u = 2 pi, plus the 1/u^n bound beyond."""
-    top = max(4.0 * cut, 2.0 * math.pi * n / h)
-    ts = np.linspace(cut, top, 400_001)
-    vals = np.abs(np.sinc(h * ts / (n * math.pi))) ** n
-    body = float(np.sum((vals[1:] + vals[:-1]) * np.diff(ts))) / 2.0
-    return body + math.exp(n * math.log(n / (h * top)) + math.log(top / (n - 1)))
 
 
 @pytest.mark.parametrize("n", [8, 40, 64, 256, 4096, 10**5])
 def test_inversion_cut_drops_at_most_the_tolerance(n):
     h = 0.75
-    cut = distributions._inversion_cut(n, h)
-    assert 2.0 * h * _sinc_power_tail(n, h, cut) / math.pi <= distributions.INVERSION_TOL
+    terms = distributions._cosine_series(n, h)[1].size
+    # 2 sum_{m > J} |c_m|, c_m = (sin u / u)^n at u = pi m / n, summed
+    # directly to M = max(4 J, 2 n) and bounded by (n / (pi m))^n beyond:
+    # the density the series drops, times the width 2h
+    top = max(4 * terms, 2 * n)
+    m = np.arange(terms + 1, top + 1)
+    body = math.fsum(np.abs(np.sinc(m / n)) ** n)
+    beyond = math.exp(n * math.log(n / (math.pi * top)) + math.log(top / (n - 1)))
+    assert 2.0 * (body + beyond) <= distributions.INVERSION_TOL
     if n >= 256:
         # the Gaussian bound sets the cut there (and at n = 40): T grows like
         # sqrt(n), not like n
-        assert cut * h < 20.0 * math.sqrt(n)
+        assert distributions._inversion_cut(n, h) * h < 20.0 * math.sqrt(n)
 
 
 def test_uniform_mean_at_large_n_is_exact_on_few_panels():
     n = 10**5
-    assert distributions._inversion_panels(n, 1.0)[0].size < 2000
+    assert distributions._cosine_series(n, 1.0)[1].size < 2000
     gap = jensen_gap(make_function("cos", 0.0), mean_of_n(Uniform(-1.0, 1.0), n))
     want = _cos_gap_uniform(n)
     assert abs(gap.value - want) <= gap.abs_error
