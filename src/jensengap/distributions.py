@@ -13,11 +13,10 @@ special cases.
 The mean of n independent draws (``MeanOfN``) takes its even integer
 moments in closed form from the base's central moments, for every base.
 Its expectations and other moments are exact where the base has a known
-density of the mean: a Gaussian base gives another Gaussian, a Laplace base
-a mixture of Gamma laws and a uniform base the Irwin-Hall polynomial or,
-from IRWIN_HALL_BELOW draws on, its Fourier cosine series, whose dropped
-terms are bounded and join the error bar; the quadrature below integrates
-these densities.
+density of the mean: a Gaussian base gives another Gaussian, and Laplace
+and uniform bases give a density that the quadrature below integrates (from
+IRWIN_HALL_BELOW uniform draws on, a Fourier cosine series with a certified
+cut).
 Discrete, empirical and nested bases fall back to seeded Monte Carlo.
 
 Each distribution also knows how to take a plain expectation E[g(X)]
@@ -53,7 +52,7 @@ QUAD_EPSREL = 1.49e-8
 _CHUNK = 1 << 24  # base draws per chunk when averaging, to bound memory
 # the mean of n uniform draws takes the Irwin-Hall polynomial density below
 # this n; it cancels catastrophically as n grows, so from this n on the
-# density is its Fourier cosine series, the characteristic function's terms
+# density is summed as its Fourier cosine series (``_cosine_series``)
 IRWIN_HALL_BELOW = 8
 # the cosine series is cut where the dropped density, summed over the
 # support, is at most this bound (which joins the error bar)
@@ -730,15 +729,13 @@ class MeanOfN(_NamedContinuous):
       mixture of Gamma(k+1) laws, k < n, integrated over the whole line by
       the named families' quadrature;
     - a uniform base gives the Irwin-Hall density below IRWIN_HALL_BELOW
-      and above it the density's own cosine series on the support,
-      (1/h) (1/2 + sum_{m <= J} phi(pi m / (n h))^n cos(pi m (x - mu) / h))
-      for half-width h, integrated over the bounded support.  Its terms
-      sample the inversion integrand at step pi / h, so J = ceil(T h / pi)
-      for the cut T of the inversion integral, and the density the cut
-      drops is bounded in closed form and joins the error bar.  T is the
-      smaller of two certified cuts, one from |phi| <= 1/u, which grows
-      like n, and one from |phi| <= exp(-u^2/6) below u = pi, which grows
-      like sqrt(n) and is the smaller for 31 <= n <= 47 and n >= 116.
+      and above it the density's own Fourier cosine series
+      (``_cosine_series``), integrated over the bounded support; the
+      density the series' cut drops is bounded in closed form and joins
+      the error bar.  The cut is the sooner of two certified ones, one from
+      |phi| <= 1/u, which grows like n, and one from |phi| <= exp(-u^2/6)
+      below u = pi, which grows like sqrt(n) and is the sooner for
+      31 <= n <= 47 and n >= 116.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
     with CLT error bars for their gaps and their other moment orders.  A gap

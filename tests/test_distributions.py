@@ -392,6 +392,7 @@ def _direct_inversion(n, lo, hi, xs):
 
 @pytest.mark.parametrize("n", [8, 9, 12, 16, 24, 64, 256, 4096])
 def test_series_density_matches_exact_density(monkeypatch, n):
+    ts, ws = np.polynomial.legendre.leggauss(512)
     for lo, hi in ((-1.0, 1.0), (0.5, 2.0), (-3.0, 7.0)):
         avg = MeanOfN(Uniform(lo, hi), n)
         xs = np.linspace(lo, hi, 61)
@@ -408,7 +409,6 @@ def test_series_density_matches_exact_density(monkeypatch, n):
             tol = 1e-13
         assert np.max(np.abs(got - want)) <= tol * np.max(want), (lo, hi)
         # the mass, by a 512-point Gauss-Legendre rule over the support
-        ts, ws = np.polynomial.legendre.leggauss(512)
         mass = 0.5 * (hi - lo) * math.fsum(ws * pdf(0.5 * (lo + hi) + 0.5 * (hi - lo) * ts))
         assert abs(mass - 1.0) <= 1e-14, (lo, hi)
     # blocks of one point give the same values as one block
@@ -420,9 +420,10 @@ def test_series_density_matches_exact_density(monkeypatch, n):
 def test_inversion_cut_drops_at_most_the_tolerance(n):
     h = 0.75
     terms = distributions._cosine_series(n, h)[1].size
-    # 2 sum_{m > J} |c_m|, c_m = (sin u / u)^n at u = pi m / n, summed
-    # directly to M = max(4 J, 2 n) and bounded by (n / (pi m))^n beyond:
-    # the density the series drops, times the width 2h
+    # the J terms kept leave out at most (1/h) sum_{m > J} |c_m| of the
+    # density, so 2 sum_{m > J} |c_m| of its mass; c_m = (sin u / u)^n at
+    # u = pi m / n is summed directly to M = max(4 J, 2 n), and beyond M
+    # bounded by the integral of (n / (pi m))^n
     top = max(4 * terms, 2 * n)
     m = np.arange(terms + 1, top + 1)
     body = math.fsum(np.abs(np.sinc(m / n)) ** n)
