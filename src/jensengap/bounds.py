@@ -16,7 +16,8 @@ below, with m_0 = 1 by the |t|^0 = 1 convention.
 
 Every bound passes its keywords (``seed``, ``samples``, ``nodes``,
 ``method``) to ``dist.abs_central_moments``, whose defaults set the moment
-budget.
+budget; ``method`` is "auto" (an exact route, then quadrature, then Monte
+Carlo), "quadrature" or "monte_carlo".
 """
 
 import itertools

@@ -1,10 +1,12 @@
 """Distributions and their absolute centered moments sigma_p = (E|X - mu|^p)^(1/p).
 
 Every moment-based gap bound in this package is a function of these sigma_p,
-so the moment path is kept honest three ways: discrete families use exactly
-rounded sums, the named continuous families use closed forms (cross-checked
-against quadrature in the tests), and means of n draws use seeded Monte
-Carlo with a CLT error bar where no exact route exists.
+and the gap oracle's core is a plain expectation E[g(X)] (``expect``).  One
+rule in ``Distribution`` picks each law's route: an exact sum or closed form
+where the family has one, else adaptive Gauss-Kronrod quadrature on a
+density (its error bar is the rule's estimate; an unbounded support is
+mapped onto (-1, 1), so no tail is cut off), else seeded Monte Carlo with a
+CLT error bar.  The tests cross-check the routes.
 
 Convention: |t|^0 is 1 for every t, including t = 0, so sigma_0 = 1 always.
 This keeps the k-term denominators of the lower bounds finite without
@@ -18,13 +20,6 @@ and uniform bases give a density that the quadrature below integrates (from
 IRWIN_HALL_BELOW uniform draws on, a Fourier cosine series with a certified
 cut).
 Discrete, empirical and nested bases fall back to seeded Monte Carlo.
-
-Each distribution also knows how to take a plain expectation E[g(X)]
-(``expect``), which is the computational core of the gap oracle: exact
-summation where the support is finite, adaptive Gauss-Kronrod quadrature
-for the named densities and the means of Laplace or uniform draws (its
-error bar is the rule's estimate; an unbounded support is mapped onto
-(-1, 1), so no tail is cut off), Monte Carlo for means of other bases.
 """
 
 import math
@@ -99,8 +94,6 @@ class MomentValue:
 
 
 def _moment(p, pow_value, method, abs_error):
-    if p == 0:
-        return MomentValue(0.0, 1.0, 1.0, method, 0.0)
     root = pow_value ** (1.0 / p) if pow_value > 0 else 0.0
     return MomentValue(float(p), root, float(pow_value), method, float(abs_error))
 
@@ -253,7 +246,9 @@ def _gauss_kronrod(h, a, mid, b, nodes):
 
 
 class Distribution(ABC):
-    """Common surface: mean, moments, sampling, and expectations."""
+    """Common surface: mean, moments, sampling, and expectations.  A family
+    gives its ``_exact_moment`` and, where ``_has_density``, a ``_quadrature``
+    of E[g(X)]; ``expect`` and ``_moment_pow`` pick the route from those."""
 
     variant = "abstract"
 
@@ -270,16 +265,26 @@ class Distribution(ABC):
         """``count`` draws, a count by ``check_count``, from the ``purpose``
         stream of ``seed``."""
 
-    @abstractmethod
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, label="g"):
-        """E[g(X)] as an Expectation tuple.  ``nodes`` (quadrature, at least
-        MIN_NODES) and ``samples`` (Monte Carlo, at least 2) are counts,
+        """E[g(X)] as an Expectation tuple: quadrature on the density, else
+        the mean of seeded draws (purpose "gap").  ``nodes`` (quadrature, at
+        least MIN_NODES) and ``samples`` (Monte Carlo, at least 2) are counts,
         checked by ``check_count`` only on the route that uses them.  ``g``
         is a bare rule whose values ``expect`` alone checks, by one
         ``functions._apply_rule`` per batch of points (the atoms, the draws,
         a quadrature pass); a non-finite value raises EvaluationError naming
-        ``label``."""
+        ``label``, unless quadrature finds the density 0 there."""
+        if self._has_density():
+            return self._quadrature(g, nodes, label)
+        vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), label)
+        value, err = _monte_carlo(vals)
+        support = self.support_interval()
+        if err == 0.0 and support.lo < support.hi:
+            # every draw gave g one value, but the law is not a point mass:
+            # the sample says nothing of the spread, so the bar is unbounded
+            err = math.inf
+        return Expectation(value, err, "monte_carlo", len(vals))
 
     @abstractmethod
     def to_dict(self):
@@ -287,12 +292,10 @@ class Distribution(ABC):
 
     def abs_central_moment(self, p, method="auto", seed=None,
                            samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
-        """sigma_p as a MomentValue.  ``method`` picks the route:
-
-        "auto" uses the best available (exact sums, closed forms,
-        quadrature, Monte Carlo where nothing exact exists); "closed_form",
-        "quadrature" and "monte_carlo" force those routes where they make
-        sense, mainly for cross-checking.
+        """sigma_p as a MomentValue.  ``method`` picks the route: "auto"
+        takes an exact sum or closed form where the family has one, else
+        quadrature on the density, else Monte Carlo; "quadrature" (on a
+        density) and "monte_carlo" force a route, mainly for cross-checking.
         """
         p = _check_order(p)
         return self.abs_central_moments([p], method, seed, samples, nodes)[p]
@@ -320,7 +323,7 @@ class Distribution(ABC):
             if p in out:
                 continue
             try:
-                moment = (_moment(0.0, 1.0, "closed_form", 0.0) if p == 0
+                moment = (MomentValue(0.0, 1.0, 1.0, "closed_form", 0.0) if p == 0
                           else self._moment_pow(p, method, nodes, draws))
             except OverflowError:
                 moment = None
@@ -332,20 +335,39 @@ class Distribution(ABC):
             out[p] = moment
         return out
 
-    @abstractmethod
     def _moment_pow(self, p, method, nodes, draws):
-        """E|X - mu|^p for p > 0 as a MomentValue; ``draws()`` returns the
-        shared Monte Carlo batch."""
+        """E|X - mu|^p for p > 0 as a MomentValue, by the route ``method``
+        picks; ``draws()`` returns the shared Monte Carlo batch."""
+        if method == "auto":
+            exact = self._exact_moment(p)
+            if exact is not None:
+                return exact
+            method = "quadrature" if self._has_density() else "monte_carlo"
+        mu = self.mean()
+        if method == "quadrature" and self._has_density():
+            est = self._quadrature(lambda x: np.abs(x - mu) ** p, nodes, "g")
+            return _moment(p, est.value, "quadrature", est.abs_error)
+        if method == "monte_carlo":
+            with np.errstate(over="ignore"):  # inf, which abs_central_moments reports
+                powed = np.abs(draws() - mu) ** p
+            est, err = _monte_carlo(powed)
+            return _moment(p, est, "monte_carlo", err)
+        raise InvalidParameterError(
+            f"unsupported moment method {method!r} for {self.variant} of order {p:g}: "
+            "'auto' takes exact, then quadrature, then monte_carlo; 'quadrature' "
+            "(on a density) and 'monte_carlo' force one")
+
+    def _exact_moment(self, p):
+        """E|X - mu|^p as a MomentValue by an exact route, or None."""
+        return None
+
+    def _has_density(self):
+        """Whether ``_quadrature(g, nodes, label)`` gives E[g(X)]."""
+        return False
 
     @abstractmethod
     def _central_moments(self, p):
         """[E(X - mu)^j for j = 0..p] for an integer p, exact to rounding."""
-
-    def _moment_monte_carlo(self, p, draws):
-        with np.errstate(over="ignore"):  # inf, which abs_central_moments reports
-            powed = np.abs(draws() - self.mean()) ** p
-        est, err = _monte_carlo(powed)
-        return _moment(p, est, "monte_carlo", err)
 
 
 def _monte_carlo(vals):
@@ -410,11 +432,7 @@ class Discrete(Distribution):
         total = math.fsum(q * v for (_, q), v in zip(self.points, vals))
         return Expectation(total, 0.0, "exact_sum", len(self.points))
 
-    def _moment_pow(self, p, method, nodes, draws):
-        if method == "monte_carlo":
-            return self._moment_monte_carlo(p, draws)
-        if method not in ("auto", "exact_sum"):
-            raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
+    def _exact_moment(self, p):
         mu = self.mean()
         pow_value = math.fsum(q * abs(x - mu) ** p for x, q in self.points)
         return _moment(p, pow_value, "exact_sum", 0.0)
@@ -467,8 +485,9 @@ class _NamedContinuous(Distribution):
 
     The named families are symmetric about their mean; ``MeanOfN`` reuses
     the machinery for the mean of n Laplace or uniform draws.  Each family
-    gives its density, a scale and a bound on the density mass it misses,
-    which is 0 unless the density is itself approximated.
+    gives log E|X - mean|^p (``_log_abs_moment_pow``), its density, a scale
+    (``_scale``) and a bound on the density mass it misses, which is 0
+    unless the density is itself approximated.
 
     A bounded support is integrated over itself, split at the mean.  An
     unbounded one is mapped onto t in (-1, 1) by x = mean + s t / (1 - |t|),
@@ -480,30 +499,34 @@ class _NamedContinuous(Distribution):
     seen), an estimate, not a bound.
     """
 
-    def _scale(self):
-        raise NotImplementedError
-
     def _density(self):
         """(density, bound on the density mass it misses): the family's
         exact ``_pdf`` unless the family says otherwise."""
         return self._pdf, 0.0
 
-    def _log_abs_moment_pow(self, p):
-        """log E|X - mean|^p."""
-        raise NotImplementedError
+    def _has_density(self):
+        return True
 
-    def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, label="g"):
+    def _quadrature(self, g, nodes, label):
         mu = self.mean()
         pdf, missed = self._density()
         peak = 0.0
 
         def integrand(xs):
             nonlocal peak
-            vals = _apply_rule(g, xs, label)
+            dens = pdf(xs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    vals = _apply_rule(g, xs, label)
+                except EvaluationError:
+                    # g may overflow far out, where the density is 0: read
+                    # it again where the density is not 0, 0 elsewhere
+                    live = np.broadcast_to(dens != 0, xs.shape)
+                    vals = np.zeros_like(xs)
+                    vals[live] = _apply_rule(g, xs[live], label)
             if missed:
                 peak = max(peak, float(np.max(np.abs(vals))))
-            return vals * pdf(xs)
+            return vals * dens
 
         support = self.support_interval()
         if math.isfinite(support.lo) and math.isfinite(support.hi):
@@ -521,19 +544,8 @@ class _NamedContinuous(Distribution):
         value, quad_err, evals = _gauss_kronrod(h, a, mid, b, nodes)
         return Expectation(value, quad_err + missed * peak, "quadrature", evals)
 
-    def _moment_pow(self, p, method, nodes, draws):
-        if method in ("auto", "closed_form"):
-            return _moment(p, math.exp(self._log_abs_moment_pow(p)), "closed_form", 0.0)
-        if method == "quadrature":
-            return self._moment_quadrature(p, nodes)
-        if method == "monte_carlo":
-            return self._moment_monte_carlo(p, draws)
-        raise InvalidParameterError(f"unsupported moment method {method!r} for {self.variant}")
-
-    def _moment_quadrature(self, p, nodes):
-        mu = self.mean()
-        est = self.expect(lambda x: np.abs(x - mu) ** p, nodes=nodes)
-        return _moment(p, est.value, "quadrature", est.abs_error)
+    def _exact_moment(self, p):
+        return _moment(p, math.exp(self._log_abs_moment_pow(p)), "closed_form", 0.0)
 
     def _central_moments(self, p):
         # symmetric about the mean: the odd central moments vanish
@@ -738,11 +750,8 @@ class MeanOfN(_NamedContinuous):
       31 <= n <= 47 and n >= 116.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
-    with CLT error bars for their gaps and their other moment orders.  A gap
-    sample whose draws all give g one value has a spread of 0; unless the
-    base is a point mass, its error bar is then inf, not 0.  The
-    exact mean is inherited from the base, so the oracle's f(E[X]) term
-    stays exact.
+    for their gaps and their other moment orders.  The exact mean is
+    inherited from the base, so the oracle's f(E[X]) term stays exact.
     """
 
     base: Distribution
@@ -783,32 +792,17 @@ class MeanOfN(_NamedContinuous):
     def _has_density(self):
         return isinstance(self.base, (Gaussian, Laplace, Uniform))
 
-    def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
-               seed=None, label="g"):
+    def _quadrature(self, g, nodes, label):
         if isinstance(self.base, Gaussian):
-            return self._gaussian().expect(g, nodes=nodes, label=label)
-        if self._has_density():
-            return super().expect(g, nodes=nodes, label=label)
-        vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), label)
-        value, err = _monte_carlo(vals)
-        support = self.support_interval()
-        if err == 0.0 and support.lo < support.hi:
-            # every draw gave g one value, but the law is not a point mass:
-            # the sample says nothing of the spread, so the bar is unbounded
-            err = math.inf
-        return Expectation(value, err, "monte_carlo", len(vals))
+            return self._gaussian()._quadrature(g, nodes, label)
+        return super()._quadrature(g, nodes, label)
 
-    def _moment_pow(self, p, method, nodes, draws):
-        if method in ("auto", "closed_form") and p % 2 == 0 and p <= MAX_SERIES_ORDER:
+    def _exact_moment(self, p):
+        if p % 2 == 0 and p <= MAX_SERIES_ORDER:
             return _moment(p, self._central_moments(int(p))[-1], "closed_form", 0.0)
-        if method == "monte_carlo" or (method == "auto" and not self._has_density()):
-            return self._moment_monte_carlo(p, draws)
-        if isinstance(self.base, Gaussian) and method in ("auto", "closed_form", "quadrature"):
-            return self._gaussian()._moment_pow(p, method, nodes, draws)
-        if self._has_density() and method in ("auto", "quadrature"):
-            return self._moment_quadrature(p, nodes)
-        raise InvalidParameterError(
-            f"unsupported moment method {method!r} for {self.variant} of order {p}")
+        if isinstance(self.base, Gaussian):
+            return self._gaussian()._exact_moment(p)
+        return None
 
     def _central_moments(self, p):
         # moments of one (X_i - mu)/n, then of the sum of n such terms by

@@ -157,11 +157,12 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
       "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e10]}',
       "--dist", '{"variant": "two_point", "mu": 0, "sigma": 1e150}'],
      "returned a non-finite value"),
-    # the gap's rule overflows: at the outermost node of the whole-line map,
-    # and inside the quadrature of a bounded support
+    # the gap's rule overflows: on the whole-line map at the outermost node
+    # where the density is not 0, and inside the quadrature of a bounded
+    # support
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}'],
-     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-919.05690906]"),
+     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-27.6435438]"),
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "mean_of_n", "n": 3, '
       '"base": {"variant": "uniform", "lo": -1e200, "hi": 1e200}}'],
@@ -183,16 +184,35 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
     (["oracle", "--function", '{"kind": "pow4", "mu": 1e200}',
       "--dist", '{"variant": "two_point", "mu": 1e200, "sigma": 1}'],
      "pow4 has no finite slope at mu = 1e+200"),
+    (["bound", "--kind", "upper", "--alpha", "2", "--n", "2", "--function", COS,
+      "--dist", MEAN_OF_3, "--shift", "abc"],
+     "--shift must be 'auto', 'none', or a number, got 'abc'"),
+    (["bound", "--kind", "general_upper", "--terms", "[1,2]", "--function", COS,
+      "--dist", MEAN_OF_3], "--terms must be a JSON list of [exponent, weight] pairs"),
+    (["bound", "--kind", "holder", "--alpha", "2", "--beta", "2", "--k", "1",
+      "--function", SQUARE, "--dist", LAPLACE],
+     "--kind holder needs --q; valid choices for k=1: [2]"),
+    (["oracle", "--dist", LAPLACE], "--function is required for this command"),
 ], ids=["overflowing_moment", "fractional_q", "overflowing_bound",
         "zero_samples", "one_sample", "overflowing_rule", "overflowing_gap_probe",
         "overflowing_gap_quadrature", "infinite_shift",
-        "overflowing_shifted_slope", "list_kind", "object_variant", "overflowing_slope"])
+        "overflowing_shifted_slope", "list_kind", "object_variant", "overflowing_slope",
+        "text_shift", "flat_terms", "holder_without_q", "oracle_without_function"])
 def test_typed_error_without_traceback(capsys, argv, words):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert words in captured.err
+
+
+def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code = cli.main(["oracle", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: config file must hold a JSON object\n"
 
 
 def test_lower_bound_fits_though_its_product_overflows(capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -205,6 +206,28 @@ def test_kinked_laplace_moment_lies_within_its_bar():
     # 114555.5338496589 is the integral by mpmath at 40 digits
     got = Laplace(-0.38087040047877707, 26.72638633361815).expect(lambda x: np.abs(x) ** 3)
     assert abs(got.value - 114555.5338496589) <= got.abs_error
+
+
+@pytest.mark.parametrize("value, want", [
+    (lambda: Gaussian(0.0, 1.0).expect(np.exp).value, math.exp(0.5)),
+    (lambda: Laplace(0.0, 1.0).expect(lambda x: np.exp(x / 2.0)).value, 4.0 / 3.0),
+    # E|X|^120 on a standard Gaussian is 119!!
+    (lambda: jensen_gap(make_function("abs_power", 0.0, alpha=120), Gaussian(0.0, 1.0)).value,
+     float(math.prod(range(1, 120, 2)))),
+    # sum over k < 4 of w_k (k + 101)! / k! / 4^101, the Gamma mixture summed
+    # in exact rationals
+    (lambda: mean_of_n(Laplace(0.0, 1.0), 4).abs_central_moment(101).sigma_p_pow,
+     3.5353707826227656e103),
+], ids=["gaussian_exp", "laplace_exp_half", "abs_power_120", "laplace_mean_order_101"])
+def test_rule_may_overflow_where_the_density_is_zero(value, want):
+    """The whole-line map reaches nodes thousands of scales out, where g
+    overflows but the density is exactly 0; those nodes add nothing."""
+    assert value() == pytest.approx(want, rel=1e-14)
+
+
+def test_rule_overflowing_where_the_density_is_not_zero_raises():
+    with pytest.raises(EvaluationError, match=r"near x = \[37\.7"):
+        Gaussian(0.0, 1.0).expect(lambda x: np.exp(x * x / 2.0))
 
 
 def test_one_driver_call_per_unbounded_expectation(monkeypatch):
@@ -476,6 +499,44 @@ def test_other_orders_of_mean_take_the_density(base):
     assert abs(odd.sigma_p_pow - mc.sigma_p_pow) <= 2.5 * mc.abs_error_estimate
 
 
+ROUTE_ORDERS = (1.5, 2.0, 3.0, 102.0)
+EXACT, CLOSED, QUAD, MC = "exact_sum", "closed_form", "quadrature", "monte_carlo"
+
+
+@pytest.mark.parametrize("dist, auto, dense", [
+    (two_point(0.0, 1.0), (EXACT,) * 4, False),
+    (Empirical((0.0, 1.0, 3.0)), (EXACT,) * 4, False),
+    (Gaussian(0.5, 1.2), (CLOSED,) * 4, True),
+    (Laplace(0.0, 0.9), (CLOSED,) * 4, True),
+    (Uniform(-2.0, 1.0), (CLOSED,) * 4, True),
+    (mean_of_n(Gaussian(0.0, 1.0), 4), (CLOSED,) * 4, True),
+    (mean_of_n(Laplace(0.0, 1.0), 4), (QUAD, CLOSED, QUAD, QUAD), True),
+    (mean_of_n(Uniform(-1.0, 1.0), 4), (QUAD, CLOSED, QUAD, QUAD), True),
+    (mean_of_n(two_point(0.0, 1.0), 4), (MC, CLOSED, MC, MC), False),
+], ids=["two_point", "empirical", "gaussian", "laplace", "uniform", "mean_of_gaussian",
+        "mean_of_laplace", "mean_of_uniform", "mean_of_two_point"])
+def test_route_rule(dist, auto, dense):
+    """"auto" takes an exact route, then quadrature, then Monte Carlo;
+    "quadrature" runs exactly where a density exists, "monte_carlo"
+    everywhere, and any other method names the variant and the order."""
+    got = dist.abs_central_moments(ROUTE_ORDERS, seed=3, samples=1000)
+    assert tuple(got[p].method for p in ROUTE_ORDERS) == auto
+    for p in ROUTE_ORDERS:
+        if dense:
+            assert dist.abs_central_moment(p, method=QUAD).method == QUAD
+        else:
+            with pytest.raises(InvalidParameterError,
+                               match=f"'quadrature' for {dist.variant} of order {p:g}:"):
+                dist.abs_central_moment(p, method=QUAD)
+    mc = dist.abs_central_moments(ROUTE_ORDERS, method=MC, seed=3, samples=1000)
+    assert {m.method for m in mc.values()} == {MC}
+    for method in (CLOSED, EXACT, "bogus"):
+        with pytest.raises(InvalidParameterError,
+                           match=f"'{method}' for {dist.variant} of order 2: 'auto' takes "
+                                 "exact, then quadrature, then monte_carlo"):
+            dist.abs_central_moment(2.0, method=method)
+
+
 def test_non_integral_counts_rejected():
     base = Uniform(-1.0, 1.0)
     for bad in (2.7, 0, -3, True, math.nan, math.inf, "4"):
@@ -552,6 +613,20 @@ def test_constructor_rejections():
         Uniform(2.0, 2.0)
     with pytest.raises(InvalidParameterError):
         Gaussian(0.0, -1.0)
+
+
+@pytest.mark.parametrize("make, words", [
+    (lambda: Discrete(((0.0, 0.5), (math.inf, 0.5))),
+     "support points and probabilities must be finite"),
+    (lambda: Discrete(((0.0, 1.0), (1.0, 0.0))),
+     "probabilities must be positive, got 0.0 at x = 1.0"),
+    (lambda: Empirical(()), "empirical distribution needs at least one sample"),
+    (lambda: Empirical((0.0, math.nan)), "samples must be finite"),
+    (lambda: three_point(0.0, 0.0, 0.5), "a must be positive, got 0.0"),
+], ids=["infinite_atom", "zero_probability", "empty_sample", "nan_sample", "zero_offset"])
+def test_constructor_names_the_fault(make, words):
+    with pytest.raises(InvalidParameterError, match=re.escape(words)):
+        make()
 
 
 @pytest.mark.parametrize("direct, descriptor", [

@@ -599,6 +599,29 @@ def test_degenerate_constant_function():
         sup_ratio_upper(f, 2.0, 2.0)
 
 
+def _log_squared(x):
+    # x^2 log^2|x|, with its limit 0 at x = 0
+    x = np.asarray(x, dtype=float)
+    return x * x * np.log(np.abs(np.where(x == 0.0, 1.0, x))) ** 2
+
+
+@pytest.mark.parametrize("solve, error, words", [
+    # log^2|x| / 2 climbs toward the mean by less than 50x over each of the
+    # screen's windows, so the climb escapes only after the solve
+    (lambda: sup_ratio_upper(custom_function(_log_squared, 0.0, slope_at_mu=0.0), 2.0, 2.0),
+     UnboundedEnvelopeError, "toward mu"),
+    # 2 (x - 1)^2 touches 0 at x = 1
+    (lambda: inf_ratio_lower(custom_function(lambda x: x * x * (x - 1.0) ** 2, 0.0,
+                                             slope_at_mu=0.0), 2.0, 2.0),
+     DegenerateEnvelopeError, "indistinguishable from zero"),
+], ids=["climb_toward_mu", "degenerate_infimum"])
+def test_solver_side_envelope_errors(solve, error, words):
+    with pytest.raises(error, match=words) as raised:
+        solve()
+    # raised by the checks after the solve, not by the growth screen
+    assert raised.traceback[-1].name == "_solve_declared"
+
+
 def test_parameter_rejections():
     f = flat_sine()
     with pytest.raises(InvalidParameterError):

@@ -133,6 +133,14 @@ def test_eval_many_matches_scalar():
     assert eval_many(f, xs) == pytest.approx([evaluate(f, x) for x in xs])
 
 
+def test_rule_refusing_an_array_is_read_per_point():
+    # a scalar for an array, and an error for an array, both take the
+    # per-point fallback
+    xs = np.array([0.0, 1.0, 2.0])
+    assert eval_many(custom_function(lambda x: 3.0, 0.0), xs).tolist() == [3.0, 3.0, 3.0]
+    assert eval_many(custom_function(math.cos, 0.0), xs).tolist() == [math.cos(x) for x in xs]
+
+
 def test_linear_shift_rule_and_slope():
     f = make_function("sin", 0.0)
     g = linear_shift(f, 1.0)
