@@ -60,11 +60,14 @@ _OUTER_CELLS = 1 << 18  # table cells per block of density points
 _MIX_LOG_FLOOR = math.log(1e-20)
 # an unbounded support is integrated over t in (-1, 1), x = mu + s t/(1 - |t|),
 # with s this multiple of the family's scale, picked by evaluation counts on
-# the Gaussian and Laplace expectations of the quadrature_gaps benchmark: 402
-# per expectation at 0.5, 335 at 1, 284 at 2, 276 at 3 and 4, 281 at 6.  Past
-# 2 the Gaussian counts rise as the Laplace counts fall, so the least multiple
-# on that plateau is kept; of 1.5 to 4 it also keeps kinked |x|^p within
-# their error bars most often (2 misses in 450 seeded laws, against mpmath)
+# the Gaussian and Laplace expectations of the quadrature_gaps benchmark's 64
+# seed-1 rounds.  With the first pass on _START_CELLS cells a side they are 351
+# per expectation at 0.5, 279 at 1, 250 at 1.5, 221 at 2, 214 at 3, 219 at 4
+# and 230 at 6.  Past 2 the Gaussian counts rise (191 at 2, 205 at 3) as the
+# Laplace counts fall (252 at 2, 223 at 3); 2 was the least multiple on that
+# plateau under a one-cell start.  Of 1.5 to 4 it also keeps kinked |x|^p
+# within their error bars most often (8 misses in 450 seeded laws, against
+# mpmath; 9 at 1.5, 15 at 3, 17 at 4)
 _WHOLE_LINE_SCALE = 2.0
 
 
@@ -174,11 +177,36 @@ _GK_GAUSS_WEIGHTS = np.zeros(21)
 _GK_GAUSS_WEIGHTS[1:10:2] = _WG
 _GK_GAUSS_WEIGHTS[19:10:-2] = _WG
 _RULE_POINTS = 21
-# the two halves either side of the split point take one rule each
+# the least budget: one rule on each half either side of the split point
 MIN_NODES = 2 * _RULE_POINTS
 _EPS = np.finfo(float).eps
 # QUADPACK applies its 50-ulp error floor only above this integral of |h|
 _FLOOR_MIN = np.finfo(float).tiny / (50.0 * _EPS)
+# the first pass takes this many equal cells either side of the split point,
+# where the budget has room.  A pass costs tens of microseconds of numpy calls
+# however few its points: one cos gap on a Gaussian takes about 100 us in one
+# pass at 42, 84 or 168 points, and each further pass adds 40-80 us (two-vCPU
+# VM).  Over the benchmark's 64 seed-1 rounds, 4 cells a side cut the passes
+# per integral from 2.91 to 1.43 on quadrature_gaps, 2.88 to 1.13 on
+# mean_of_n and 2.74 to 1.45 on sandwich, at 220.5 -> 208.5, 199.5 -> 178.5
+# and 211.5 -> 212.7 evaluations.  2 and 3 cells leave 1.4-2.2 passes; 6 and
+# 8 take 252-347 evaluations.
+_START_CELLS = 4
+
+
+def _start_weights(per_side):
+    """Weights of (a, mid, b) at the first pass's cell edges, left to right:
+    ``per_side`` equal cells either side of mid.  Each edge is one weighted
+    sum with weights 1 and 0 at the ends and the split, so those edges are
+    a, mid and b exactly."""
+    f = np.arange(per_side + 1) / per_side
+    zeros = np.zeros(per_side)
+    return (np.concatenate([1.0 - f, zeros]),
+            np.concatenate([f, 1.0 - f[1:]]),
+            np.concatenate([zeros, [0.0], f[1:]]))
+
+
+_START_WEIGHTS = {k: _start_weights(k) for k in range(1, _START_CELLS + 1)}
 
 
 def _qk21(h, lo, hi):
@@ -210,7 +238,9 @@ def _gauss_kronrod(h, a, mid, b, nodes):
     """Integral of the vectorized ``h`` over [a, b], split at ``mid``.
 
     Returns (value, error estimate, evaluations).  The subintervals are the
-    columns of one (4, P) table of lo, hi, value and error estimate.  Each
+    columns of one (4, P) table of lo, hi, value and error estimate.  The
+    first pass takes _START_CELLS equal cells either side of ``mid``, or as
+    many as ``nodes`` has room for (one at MIN_NODES).  Each
     pass evaluates ``h`` once on the nodes of every new subinterval, then
     bisects every subinterval whose error estimate exceeds its width's share
     of the tolerance; the kept columns stay in order, followed by the left
@@ -223,9 +253,11 @@ def _gauss_kronrod(h, a, mid, b, nodes):
         raise InvalidParameterError(
             f"nodes must be at least {MIN_NODES} (one {_RULE_POINTS}-point rule "
             f"either side of the mean), got {nodes}")
-    lo, hi = np.array([a, mid]), np.array([mid, b])
+    wa, wm, wb = _START_WEIGHTS[min(_START_CELLS, nodes // MIN_NODES)]
+    edges = a * wa + mid * wm + b * wb
+    lo, hi = edges[:-1], edges[1:]
     cells = np.array([lo, hi, *_qk21(h, lo, hi)])
-    evals = MIN_NODES
+    evals = _RULE_POINTS * len(lo)
     while True:
         value, err = cells[2:].sum(axis=1).tolist()
         tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(value))

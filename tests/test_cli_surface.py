@@ -162,7 +162,7 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
     # support
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}'],
-     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-27.6435438]"),
+     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-34.59293557]"),
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "mean_of_n", "n": 3, '
       '"base": {"variant": "uniform", "lo": -1e200, "hi": 1e200}}'],

@@ -43,7 +43,7 @@ def test_gaussian_cosine_gap_closed_form():
     assert gap.method == "quadrature"
 
 
-@pytest.mark.parametrize("nodes", [42, 210, 2048])
+@pytest.mark.parametrize("nodes", [42, 84, 126, 168, 210, 2048])
 def test_nodes_caps_quadrature_evaluations(nodes):
     sigma = 0.5
     gap = jensen_gap(make_function("cos", 0.0), Gaussian(0.0, sigma), nodes=nodes)

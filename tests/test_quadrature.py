@@ -2,9 +2,11 @@
 
 ``_reference_qk21`` and ``_reference_gauss_kronrod`` are the driver as it
 stood before its cells moved into one table: one array per row, masked error
-scaling on every cell, and separate sums and concatenations.  The arithmetic
-of the two is the same operation for operation, so every value, error
-estimate and evaluation count must agree exactly, not to a tolerance.
+scaling on every cell, and separate sums and concatenations.  Both start on
+the same equal cells either side of the split point, each edge one weighted
+sum of the ends and the split.  The arithmetic of the two is the same
+operation for operation, so every value, error estimate and evaluation count
+must agree exactly, not to a tolerance.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from jensengap import distributions
 from jensengap.distributions import (
     _EPS,
     _FLOOR_MIN,
@@ -19,13 +22,18 @@ from jensengap.distributions import (
     _GK_KRONROD_WEIGHTS,
     _GK_NODES,
     _RULE_POINTS,
+    _START_CELLS,
     MIN_NODES,
     QUAD_EPSABS,
     QUAD_EPSREL,
+    Gaussian,
+    Laplace,
+    Uniform,
     _gauss_kronrod,
 )
 from jensengap.errors import EvaluationError
-from jensengap.functions import _apply_rule
+from jensengap.functions import _apply_rule, make_function
+from jensengap.oracle import jensen_gap
 
 
 def _reference_qk21(h, lo, hi):
@@ -44,9 +52,13 @@ def _reference_qk21(h, lo, hi):
 
 
 def _reference_gauss_kronrod(h, a, mid, b, nodes):
-    lo, hi = np.array([a, mid]), np.array([mid, b])
+    per_side = min(_START_CELLS, nodes // MIN_NODES)
+    fractions = [k / per_side for k in range(per_side + 1)]
+    edges = np.array([a * (1.0 - f) + mid * f for f in fractions]
+                     + [mid * (1.0 - f) + b * f for f in fractions[1:]])
+    lo, hi = edges[:-1], edges[1:]
     values, errs = _reference_qk21(h, lo, hi)
-    evals = MIN_NODES
+    evals = _RULE_POINTS * len(lo)
     while True:
         value, err = float(np.sum(values)), float(np.sum(errs))
         tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
@@ -108,7 +120,7 @@ def test_driver_matches_reference_bit_for_bit():
         _same(h, a, mid, b, nodes)
 
 
-@pytest.mark.parametrize("nodes", [84, 500, 1000, 2048])
+@pytest.mark.parametrize("nodes", [210, 500, 1000, 2048])
 def test_budget_that_runs_out_bisects_the_worst_first(monkeypatch, nodes):
     h = lambda x: np.abs(np.sin(40.0 * x))
     value, err, evals = _same(h, -3.0, 0.1, 3.0, nodes)
@@ -138,7 +150,7 @@ def test_masked_error_scaling_cells(h):
 
 def test_resabs_below_floor_keeps_the_raw_estimate():
     value, err, evals = _same(lambda x: 1e-300 * np.cos(3.0 * x), -0.5, 0.0, 0.5, 2048)
-    assert 0.0 < err < 1e-290 and evals == MIN_NODES
+    assert 0.0 < err < 1e-290 and evals == _START_CELLS * MIN_NODES
 
 
 def test_non_finite_integrand_raises_the_same_error():
@@ -152,3 +164,34 @@ def test_non_finite_integrand_raises_the_same_error():
         want = _reference_gauss_kronrod(rule, -1.0, 0.0, 1.0, 2048)
     assert repr(got) == repr(want)
     assert not math.isfinite(got[0])
+
+
+@pytest.mark.parametrize("nodes", [42, 84, 126, 168, 210, 2048])
+def test_first_pass_takes_equal_cells_either_side_of_mid(monkeypatch, nodes):
+    """min(_START_CELLS, nodes // MIN_NODES) equal cells a side, left to
+    right, with a, mid and b exact; at MIN_NODES one cell a side, so the
+    driver returns the very tuple of a start on [a, mid] and [mid, b]."""
+    per_side = min(_START_CELLS, nodes // MIN_NODES)
+    starts = []
+    rule = distributions._qk21
+    monkeypatch.setattr(distributions, "_qk21",
+                        lambda h, lo, hi: starts.append((lo, hi)) or rule(h, lo, hi))
+    a, mid, b = -0.7, 0.3, 0.9
+    value, err, evals = _same(lambda x: np.abs(np.sin(40.0 * x)), a, mid, b, nodes)
+    assert evals <= nodes
+    lo, hi = starts[0]
+    assert len(lo) == 2 * per_side
+    assert lo[0] == a and hi[per_side - 1] == lo[per_side] == mid and hi[-1] == b
+    assert np.array_equal(lo[1:], hi[:-1])
+    assert hi[:per_side] - lo[:per_side] == pytest.approx([(mid - a) / per_side] * per_side)
+    assert hi[per_side:] - lo[per_side:] == pytest.approx([(b - mid) / per_side] * per_side)
+
+
+@pytest.mark.parametrize("dist", [Gaussian(0.0, 0.5), Laplace(0.0, 0.2), Uniform(-1.0, 1.0)],
+                         ids=["gaussian", "laplace", "uniform"])
+def test_smooth_gap_finishes_in_the_first_pass(monkeypatch, dist):
+    passes = []
+    rule = distributions._qk21
+    monkeypatch.setattr(distributions, "_qk21", lambda *args: passes.append(1) or rule(*args))
+    gap = jensen_gap(make_function("cos", 0.0), dist)
+    assert len(passes) == 1 and gap.count == 2 * _START_CELLS * _RULE_POINTS == 168
