@@ -203,7 +203,7 @@ def _start_weights(per_side):
     zeros = np.zeros(per_side)
     return (np.concatenate([1.0 - f, zeros]),
             np.concatenate([f, 1.0 - f[1:]]),
-            np.concatenate([zeros, [0.0], f[1:]]))
+            np.concatenate([zeros, f]))
 
 
 _START_WEIGHTS = {k: _start_weights(k) for k in range(1, _START_CELLS + 1)}
