@@ -177,8 +177,7 @@ def test_first_pass_takes_equal_cells_either_side_of_mid(monkeypatch, nodes):
     monkeypatch.setattr(distributions, "_qk21",
                         lambda h, lo, hi: starts.append((lo, hi)) or rule(h, lo, hi))
     a, mid, b = -0.7, 0.3, 0.9
-    value, err, evals = _same(lambda x: np.abs(np.sin(40.0 * x)), a, mid, b, nodes)
-    assert evals <= nodes
+    assert _same(lambda x: np.abs(np.sin(40.0 * x)), a, mid, b, nodes)[2] <= nodes
     lo, hi = starts[0]
     assert len(lo) == 2 * per_side
     assert lo[0] == a and hi[per_side - 1] == lo[per_side] == mid and hi[-1] == b
