@@ -169,8 +169,9 @@ def test_non_finite_integrand_raises_the_same_error():
 @pytest.mark.parametrize("nodes", [42, 84, 126, 168, 210, 2048])
 def test_first_pass_takes_equal_cells_either_side_of_mid(monkeypatch, nodes):
     """min(_START_CELLS, nodes // MIN_NODES) equal cells a side, left to
-    right, with a, mid and b exact; at MIN_NODES one cell a side, so the
-    driver returns the very tuple of a start on [a, mid] and [mid, b]."""
+    right, with a, mid and b exact; at MIN_NODES one cell a side, so
+    ``_gauss_kronrod`` returns the very tuple of a start on [a, mid] and
+    [mid, b]."""
     per_side = min(_START_CELLS, nodes // MIN_NODES)
     starts = []
     rule = distributions._qk21
