@@ -1,10 +1,13 @@
 """Bound formulas: envelope constants combined with absolute central moments.
 
-Each operation assembles one inequality into a BoundReport.  Every kind but
-the variance interval is a spec over one evaluator, M (sum c m_r)^power /
-(sum c m_r)^root: the upper bound and the Cauchy-Schwarz and Hoelder lower
-bounds are the two-term and one-term cases of the general power-sum bounds,
-reported with their own parameters.  The report carries everything needed
+Each operation assembles one inequality into a BoundReport through one
+pipeline (``_report``): check the mean, solve the envelope constants, take
+the moments, evaluate the formula with its uncertainty, report.  The
+variance interval is one formula over it.  Every other kind is a spec of
+the power-sum formula M (sum c m_r)^power / (sum c m_r)^root: the upper
+bound and the Cauchy-Schwarz and Hoelder lower bounds are the two-term and
+one-term cases of the general power-sum bounds, reported with their own
+parameters.  The report carries everything needed
 to audit or serialize the claim: the envelope constant with its attainment
 point, every moment value used with its provenance, the parameter set, and
 an uncertainty that folds the moment error estimates through the formula
@@ -45,8 +48,9 @@ class BoundReport:
     ``value`` is a float for one-sided kinds and a (lo, hi) pair for
     variance_interval.  ``envelope`` is the constant the formula multiplies;
     variance_interval stores its inf constant there and the sup constant in
-    ``envelope_hi``.  ``valid`` is always true: an envelope that fails its
-    growth screen raises instead of returning.
+    ``envelope_hi``.  ``valid`` is read from the constants' ``validated``,
+    which is always true: an envelope that fails its growth screen raises
+    instead of returning.
     """
 
     kind: str
@@ -125,19 +129,31 @@ def _frexp_sum(total, terms):
     return mant, e + top
 
 
-def _evaluate_with_uncertainty(formula, moments):
-    """Apply a formula of the m_r values; bump each by its error estimate.
-
-    Returns (value, uncertainty) with uncertainty the summed first-order
-    response to each moment's error, measured by re-evaluation, summed exactly.
-    """
-    base_args = {p: mv.sigma_p_pow for p, mv in moments.items()}
-    value = formula(base_args)
-    unc = _fsum(
-        abs(formula({**base_args, p: base_args[p] + mv.abs_error_estimate}) - value)
-        for p, mv in moments.items() if mv.abs_error_estimate
+def _report(kind, mu, dist, solve, orders, evaluate, moment_kw, params=None):
+    """The one bound pipeline: check the distribution's mean against ``mu``,
+    solve the envelope constants with ``solve()`` (after that check, so a
+    mismatch costs no solve), take the moments of ``orders`` and report
+    ``evaluate(constants, moments)``, a (value, uncertainty, loose value)
+    triple.  The first constant is the report's ``envelope`` and a second
+    its ``envelope_hi``; ``params`` defaults to the first one's."""
+    mean = _check_mean(mu, dist)
+    constants = solve()
+    moments = dist.abs_central_moments(orders, **moment_kw)
+    value, unc, loose = evaluate(constants, moments)
+    return BoundReport(
+        kind=kind,
+        value=value,
+        mu=mean,
+        envelope=constants[0],
+        envelope_hi=constants[1] if len(constants) > 1 else None,
+        moments_used=tuple(moments.values()),
+        params=constants[0].params if params is None else params,
+        valid=all([c.validated for c in constants]),
+        uncertainty=unc,
+        loose_value=loose,
+        f_label=constants[0].f_label,
+        dist_label=dist.variant,
     )
-    return float(value), float(unc)
 
 
 def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
@@ -153,10 +169,6 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
     A value or loose value that overflows a double raises EvaluationError:
     an inf read off an overflow is not a claim the moments support.
     """
-    mean = _check_mean(M.mu, dist)
-    orders = [r for _, r in num + den if r is not None]
-    moments = dist.abs_central_moments(orders, **moment_kw)
-
     def formula(m):
         tops = [(c, m[r]) for c, r in num]
         bottoms = [(c, 1.0 if r is None else m[r]) for c, r in den]
@@ -174,29 +186,25 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
         e += power * e_t - root * e_d
         return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
 
-    try:
-        value, unc = _evaluate_with_uncertainty(formula, moments)
-        if loose is not None:
-            loose = float(loose({p: mv.sigma_p_pow for p, mv in moments.items()}))
-        if not all(math.isfinite(v) for v in (value, loose) if v is not None):
-            raise OverflowError
-    except OverflowError:
-        raise EvaluationError(
-            f"the {kind} bound on this {dist.variant} distribution "
-            "overflows a double") from None
-    return BoundReport(
-        kind=kind,
-        value=value,
-        mu=mean,
-        envelope=M,
-        moments_used=tuple(moments.values()),
-        params=params,
-        valid=M.validated,
-        uncertainty=unc,
-        loose_value=loose,
-        f_label=M.f_label,
-        dist_label=dist.variant,
-    )
+    def evaluate(_, moments):
+        # the uncertainty is the first-order response to each moment's error
+        # estimate, measured by re-evaluation and summed exactly
+        m = {p: mv.sigma_p_pow for p, mv in moments.items()}
+        try:
+            value = float(formula(m))
+            unc = _fsum(abs(formula({**m, p: m[p] + mv.abs_error_estimate}) - value)
+                        for p, mv in moments.items() if mv.abs_error_estimate)
+            loose_value = None if loose is None else float(loose(m))
+            if not all(math.isfinite(v) for v in (value, loose_value) if v is not None):
+                raise OverflowError
+        except OverflowError:
+            raise EvaluationError(
+                f"the {kind} bound on this {dist.variant} distribution "
+                "overflows a double") from None
+        return value, unc, loose_value
+
+    orders = [r for _, r in num + den if r is not None]
+    return _report(kind, M.mu, dist, lambda: (M,), orders, evaluate, moment_kw, params)
 
 
 def upper_bound(M, dist, alpha, n, **moment_kw):
@@ -327,36 +335,13 @@ def variance_interval(f, dist, **moment_kw):
     checked before the curvature is solved, and the curvature is solved
     once per FunctionSpec: later intervals of the same f reuse it.
     """
-    mean = _check_mean(f.mu, dist)
-    h_lo, h_hi = curvature_envelope(f)
-    moments = dist.abs_central_moments([2.0], **moment_kw)
-    m2 = moments[2.0].sigma_p_pow
-    err2 = moments[2.0].abs_error_estimate
+    def interval(h, moments):
+        m2, err2 = moments[2.0].sigma_p_pow, moments[2.0].abs_error_estimate
+        unc = max((abs(c.value) * err2 for c in h if math.isfinite(c.value)), default=0.0)
+        return (0.0, 0.0) if m2 == 0.0 else (h[0].value * m2, h[1].value * m2), unc, None
 
-    def endpoint(h):
-        if m2 == 0.0:
-            return 0.0
-        return h * m2
-
-    lo = endpoint(h_lo.value)
-    hi = endpoint(h_hi.value)
-    unc = max(
-        (abs(h.value) * err2 for h in (h_lo, h_hi) if math.isfinite(h.value)),
-        default=0.0,
-    )
-    return BoundReport(
-        kind="variance_interval",
-        value=(lo, hi),
-        mu=mean,
-        envelope=h_lo,
-        envelope_hi=h_hi,
-        moments_used=tuple(moments.values()),
-        params=tuple(h_lo.params),
-        valid=True,
-        uncertainty=unc,
-        f_label=f.label,
-        dist_label=dist.variant,
-    )
+    return _report("variance_interval", f.mu, dist, lambda: curvature_envelope(f),
+                   [2.0], interval, moment_kw)
 
 
 def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, **moment_kw):

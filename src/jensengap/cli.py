@@ -26,7 +26,9 @@ from .distributions import (
 )
 from .envelope import inf_ratio_lower, sup_ratio_upper
 from .errors import ConditionViolationError, InvalidParameterError, JensenGapError
-from .functions import GAP_ABOVE, GAP_BELOW, linear_shift, function_from_dict, select_shift_slope
+from .functions import (
+    GAP_ABOVE, GAP_BELOW, _items, _real, linear_shift, function_from_dict, select_shift_slope,
+)
 from .oracle import jensen_gap, verify
 from .rng import resolve_seed
 from .sweeps import fit_loglog_slope, mean_of_n_sweep, two_point_sweep
@@ -220,7 +222,7 @@ def _moment_kw(opts):
 def _parse_terms(text):
     pairs = json.loads(text)
     try:
-        return [(float(e), float(a)) for e, a in pairs]
+        return [(_real(e), _real(a)) for e, a in map(_items, _items(pairs))]
     except (TypeError, ValueError):
         raise InvalidParameterError(
             "--terms must be a JSON list of [exponent, weight] pairs"

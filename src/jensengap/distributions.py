@@ -306,9 +306,16 @@ class Distribution(ABC):
         is a bare rule whose values ``expect`` alone checks, by one
         ``functions._apply_rule`` per batch of points (the atoms, the draws,
         a quadrature pass); a non-finite value raises EvaluationError naming
-        ``label``, unless quadrature finds the density 0 there."""
+        ``label``, unless quadrature finds the density 0 there.  So does a
+        quadrature value or error bar that is not finite, as when the law's
+        map or density overflows a double mid-integral."""
         if self._has_density():
-            return self._quadrature(g, nodes, label)
+            est = self._quadrature(g, nodes, label)
+            if not (math.isfinite(est.value) and math.isfinite(est.abs_error)):
+                raise EvaluationError(
+                    f"the expectation of {label} on this {self.variant} distribution "
+                    "does not fit a double")
+            return est
         vals = _apply_rule(g, self.sample(_draw_count(samples), seed, purpose="gap"), label)
         value, err = _monte_carlo(vals)
         support = self.support_interval()
@@ -547,15 +554,14 @@ class _NamedContinuous(Distribution):
         def integrand(xs):
             nonlocal peak
             dens = pdf(xs)
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    vals = _apply_rule(g, xs, label)
-                except EvaluationError:
-                    # g may overflow far out, where the density is 0: read
-                    # it again where the density is not 0, 0 elsewhere
-                    live = np.broadcast_to(dens != 0, xs.shape)
-                    vals = np.zeros_like(xs)
-                    vals[live] = _apply_rule(g, xs[live], label)
+            try:
+                vals = _apply_rule(g, xs, label)
+            except EvaluationError:
+                # g may overflow far out, where the density is 0: read it
+                # again where the density is not 0, 0 elsewhere
+                live = np.broadcast_to(dens != 0, xs.shape)
+                vals = np.zeros_like(xs)
+                vals[live] = _apply_rule(g, xs[live], label)
             if missed:
                 peak = max(peak, float(np.max(np.abs(vals))))
             return vals * dens
@@ -572,8 +578,11 @@ class _NamedContinuous(Distribution):
 
             a, mid, b = -1.0, 0.0, 1.0
         # the density is off by at most ``missed`` / width, so the integral
-        # moves by at most missed times the largest |g| seen
-        value, quad_err, evals = _gauss_kronrod(h, a, mid, b, nodes)
+        # moves by at most missed times the largest |g| seen.  Where g, the
+        # density or the map overflows, the value or its error is not finite,
+        # which the callers refuse, so numpy need not warn of it
+        with np.errstate(all="ignore"):
+            value, quad_err, evals = _gauss_kronrod(h, a, mid, b, nodes)
         return Expectation(value, quad_err + missed * peak, "quadrature", evals)
 
     def _exact_moment(self, p):
@@ -583,6 +592,14 @@ class _NamedContinuous(Distribution):
         # symmetric about the mean: the odd central moments vanish
         return _central_list(p, lambda j: 0.0 if j % 2 else
                              math.exp(self._log_abs_moment_pow(j)))
+
+
+def _check_peak(what, value, reciprocal):
+    """InvalidParameterError unless the density peak 1 / ``reciprocal`` of a
+    law whose ``what`` is ``value`` fits a double."""
+    if math.isinf(1.0 / reciprocal):
+        raise InvalidParameterError(
+            f"{what} {value!r} does not fit a double: its density overflows")
 
 
 @dataclass(frozen=True)
@@ -595,6 +612,7 @@ class Gaussian(_NamedContinuous):
     def __post_init__(self):
         if not (math.isfinite(self.mean_value) and 0 < self.stddev < math.inf):
             raise InvalidParameterError("gaussian needs a finite mean and finite stddev > 0")
+        _check_peak("gaussian stddev", self.stddev, self.stddev * math.sqrt(2.0 * math.pi))
 
     def mean(self):
         return self.mean_value
@@ -632,6 +650,7 @@ class Laplace(_NamedContinuous):
     def __post_init__(self):
         if not (math.isfinite(self.mean_value) and 0 < self.scale < math.inf):
             raise InvalidParameterError("laplace needs a finite mean and finite scale > 0")
+        _check_peak("laplace scale", self.scale, 2.0 * self.scale)
 
     def mean(self):
         return self.mean_value
@@ -667,6 +686,11 @@ class Uniform(_NamedContinuous):
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise InvalidParameterError("uniform needs finite lo < hi")
+        if math.isinf(self.hi - self.lo) or math.isinf(self.mean()):
+            raise InvalidParameterError(
+                f"uniform on [{self.lo!r}, {self.hi!r}] does not fit a double: "
+                "its width or mean overflows")
+        _check_peak("uniform width", self.hi - self.lo, self.hi - self.lo)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -710,7 +734,7 @@ def _inversion_cut(n, h):
     """
     width = 2.0 * h
     power = math.exp((n * math.log(n / h) - math.log((n - 1) * math.pi)
-                      + math.log(width / INVERSION_TOL)) / (n - 1))
+                      + math.log(width) - math.log(INVERSION_TOL)) / (n - 1))
     a, top = h / math.sqrt(6.0 * n), math.pi * math.sqrt(n / 6.0)  # top = a L
     beyond = n / h * math.pi ** (1 - n) / (n - 1)  # pi times the first bound at L
     room = INVERSION_TOL * math.pi / width - beyond
@@ -740,9 +764,18 @@ def _cosine_series(n, h):
     inversion integrand phi(t/n)^n sampled at step pi / h, so with
     J = ceil(T h / pi) the terms dropped sum to at most the integral that
     the cut at T drops: both of ``_inversion_cut``'s bounds decrease on
-    their own ranges, and c_n = 0 sits at their joint u = pi.
+    their own ranges, and c_n = 0 sits at their joint u = pi.  A cut or a
+    frequency past the largest double raises EvaluationError.
     """
-    m = np.arange(1, math.ceil(_inversion_cut(n, h) * h / math.pi) + 1)
+    try:
+        count = _inversion_cut(n, h) * h / math.pi
+    except OverflowError:  # a cut past the largest double
+        count = math.inf
+    if not math.isfinite(math.pi / h * count):
+        raise EvaluationError(
+            f"the cosine series of the mean of {n} uniform draws of half-width "
+            f"{h!r} has frequencies that do not fit a double")
+    m = np.arange(1, math.ceil(count) + 1)
     return math.pi / h * m, _sinc_power(math.pi / n * m, n) / h
 
 

@@ -7,21 +7,25 @@ solver and packages the result with enough context to audit it.
 
 Extrema are located by a coarse scan over log-spaced offsets on each side of
 the mean, golden-section refinement of the surviving brackets, and a limit
-extrapolation at the two ends (``x -> mu`` and ``|x| -> inf``).  One scan
-serves every extremum asked of the same ratio: ``curvature_envelope`` takes
-its infimum and supremum from a single pass.  The brackets of both sides and
-of every extremum are then refined in lockstep, as array operations, with
-each bracket taking exactly the steps a scalar golden-section search would
-take.  Probes whose ratio is indistinguishable from floating-point
-cancellation noise are discarded before any of that happens; see
-``noise_floor``.
+extrapolation at the two ends (``x -> mu`` and ``|x| -> inf``).  One solver
+call (``_optimize``) serves every extremum asked of the same ratio and
+returns their ``EnvelopeConstant``s: ``curvature_envelope`` takes its
+infimum and supremum from a single pass, and each declared envelope is one
+role of one call, so the solves differ only in their ratio and memo key.
+The brackets of both sides and of every extremum are then refined in
+lockstep, as array operations, with each bracket taking exactly the steps a
+scalar golden-section search would take.  Probes whose ratio is
+indistinguishable from floating-point cancellation noise are discarded
+before any of that happens; see ``noise_floor``.
 
 The same scan screens the declared growth of the upper and lower envelopes,
 before any refinement: a ratio that climbs without bound toward the mean or
 an infinite end rejects an upper declaration (``UnboundedEnvelopeError``),
 and a probe of the wrong sign or a ratio that decays to zero rejects a lower
 one (``ConditionViolationError``).  The screen is a heuristic on the probes,
-not a proof.
+not a proof.  The same call then gives the verdicts only the refined value
+can settle: an infinite upper supremum (``UnboundedEnvelopeError``) and a
+lower infimum indistinguishable from zero (``DegenerateEnvelopeError``).
 """
 
 import math
@@ -320,23 +324,27 @@ def _side_candidates(f, t_off, w, side_sign, unbounded):
     return candidates, brackets
 
 
-def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
-    """Find the extrema of the ratio over the domain minus the mean.
+def _optimize(f, ratio_on, roles, params, *, max_offset, screen=None):
+    """The EnvelopeConstant of each of ``roles``, carrying ``params``: the
+    infimum of the ratio over the domain minus the mean for a role ending in
+    "_inf", else the supremum.
 
     ratio_on(signs, offsets) must return (ratio, noise) arrays at
     ``mu + signs * offsets``, with ``signs`` a side sign per offset or one
-    for all.  For each entry of ``directions`` the solver maximizes
-    ``direction * ratio`` and returns one (value, chosen, diag, near_mu)
-    tuple.  All directions share one probe scan per side, and every bracket
-    of every direction is refined in one lockstep search.
+    for all.  All roles share one probe scan per side, and every bracket of
+    every role is refined in one lockstep search.
 
     ``screen`` names the declared growth the scan checks before any
     refinement.  "upper" rejects a ratio that climbs without bound toward
     the mean or an infinite end; "lower" rejects a probe of the wrong sign,
     no trusted probe at all, or a ratio that decays to zero.  When both
-    ends fail, the far end and then the left side name the failure.
+    ends fail, the far end and then the left side name the failure.  After
+    refinement, an infinite upper supremum escapes as the screen's would (the
+    solver's limit checks see climbs its sparser reading misses), and a
+    lower infimum indistinguishable from zero raises DegenerateEnvelopeError.
     """
-    candidates = [[] for _ in directions]
+    directions = [-1.0 if role.endswith("_inf") else 1.0 for role in roles]
+    candidates = [[] for _ in roles]
     probes = 0
     # one row per bracket: (direction index, side sign, lo, hi)
     brackets = []
@@ -387,10 +395,10 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
             "is numerically indistinguishable from zero everywhere"
         )
 
-    refinements = [0] * len(directions)
+    refinements = [0] * len(roles)
     if brackets:
         b_dir, b_sign, b_lo, b_hi = (np.array(col) for col in zip(*brackets))
-        b_dir = np.asarray(directions, dtype=float)[b_dir]
+        b_dir = np.asarray(directions)[b_dir]
 
         def w_at(idx, t):
             # math.exp per element, not np.exp: the two differ by an ulp on
@@ -413,13 +421,15 @@ def _optimize(f, ratio_on, directions, *, max_offset, screen=None):
             ))
 
     return [
-        _choose(direction, found, probes, spent)
-        for direction, found, spent in zip(directions, candidates, refinements)
+        _choose(f, role, direction, params, found, probes, spent, screen)
+        for role, direction, found, spent in zip(roles, directions, candidates, refinements)
     ]
 
 
-def _choose(direction, candidates, probes, refinements):
-    """Best candidate, preferring the attainment point closest to the mean."""
+def _choose(f, role, direction, params, candidates, probes, refinements, screen):
+    """The EnvelopeConstant of the best candidate, preferring the attainment
+    point closest to the mean, after the checks that only the refined value
+    can settle: see ``_optimize``."""
     w_best = max(c.w for c in candidates)
     if math.isinf(w_best):
         tied = [c for c in candidates if math.isinf(c.w)]
@@ -428,12 +438,23 @@ def _choose(direction, candidates, probes, refinements):
         tied = [c for c in candidates if c.w >= w_best - tol]
     tied.sort(key=lambda c: (c.tie_offset, c.side_rank))
     chosen = tied[0]
-    diag = SolverDiagnostics(probes, refinements, chosen.width)
+    value = float(direction * w_best)
     near_mu = max(
         (abs(c.w) for c in candidates if c.location == AT_MU and math.isfinite(c.w)),
         default=0.0,
     )
-    return float(direction * w_best), chosen, diag, float(near_mu)
+    if screen == "upper" and math.isinf(value):
+        error, reasons = _ESCAPES["upper"]
+        raise error(reasons[chosen.location])
+    if screen == "lower" and value <= DEGENERACY_TOLERANCE * max(near_mu, 1.0):
+        raise DegenerateEnvelopeError(
+            f"infimum {value:.3g} is indistinguishable from zero; the "
+            "resulting lower bound would be vacuous"
+        )
+    return EnvelopeConstant(
+        value, chosen.arg, chosen.location, role, f.mu, params, True,
+        SolverDiagnostics(probes, refinements, chosen.width), f.label,
+    )
 
 
 def _term_sum(offsets, terms, invert):
@@ -507,38 +528,19 @@ def _declared_envelope(f, decl, terms, role, params):
 
 def _solve_declared(f, decl, terms, role, params):
     fmu = evaluate(f, f.mu)
-    upper = decl.role == "upper"
     flip = -1.0 if decl.sign == GAP_BELOW else 1.0
 
     def ratio_on(signs, offsets):
         fx = eval_many(f, f.mu + signs * offsets)
-        if upper:
+        if decl.role == "upper":
             den = _term_sum(offsets, terms, invert=False)
             return np.abs(fx - fmu) / den, noise_floor(fx, fmu) / den
         mult = _term_sum(offsets, terms, invert=True)
         return flip * (fx - fmu) * mult, noise_floor(fx, fmu) * mult
 
-    [(value, chosen, diag, near_mu)] = _optimize(
-        f,
-        ratio_on,
-        (1.0 if upper else -1.0,),
-        max_offset=_offset_cap(terms),
-        screen=decl.role,
-    )
-    if upper and math.isinf(value):
-        # the solver's limit checks see escapes the screen's sparser reading
-        # misses, such as a climb toward the mean by steps that do not shrink
-        error, reasons = _ESCAPES["upper"]
-        raise error(reasons[chosen.location])
-    if not upper and value <= DEGENERACY_TOLERANCE * max(near_mu, 1.0):
-        raise DegenerateEnvelopeError(
-            f"infimum {value:.3g} is indistinguishable from zero; the "
-            "resulting lower bound would be vacuous"
-        )
-    return EnvelopeConstant(
-        value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
-        f.label,
-    )
+    [constant] = _optimize(f, ratio_on, (role,), params,
+                           max_offset=_offset_cap(terms), screen=decl.role)
+    return constant
 
 
 def sup_ratio_upper(f, alpha, n):
@@ -595,22 +597,9 @@ def _solve_curvature(f):
         den = offsets ** 2
         return num / den, noise / den
 
-    solved = _optimize(
-        f,
-        ratio_on,
-        (-1.0, +1.0),
-        max_offset=_offset_cap(((2.0, 1.0),)),
-    )
-    params = (("slope", float(slope)),)
-    return tuple(
-        EnvelopeConstant(
-            value, chosen.arg, chosen.location, role, f.mu, params, True, diag,
-            f.label,
-        )
-        for role, (value, chosen, diag, _) in zip(
-            ("curvature_inf", "curvature_sup"), solved
-        )
-    )
+    return tuple(_optimize(f, ratio_on, ("curvature_inf", "curvature_sup"),
+                           (("slope", float(slope)),),
+                           max_offset=_offset_cap(((2.0, 1.0),))))
 
 
 def sup_ratio_general(f, terms, mode, sign=GAP_ABOVE):

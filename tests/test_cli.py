@@ -140,6 +140,46 @@ def test_malformed_descriptor_is_input_error(capsys, function, dist, message):
     assert err.startswith("error: ") and message in err
 
 
+# text and objects iterate into pairs, and JSON true is not the weight 1
+@pytest.mark.parametrize("terms", ['["24"]', '{"24": 1}', '[[2, 1], [4, true]]'])
+def test_terms_read_as_descriptor_numbers(capsys, terms):
+    code = cli.main(["bound", "--kind", "general_upper", "--function", COS,
+                     "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}',
+                     "--terms", terms])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --terms must be a JSON list of [exponent, weight] pairs\n"
+
+
+TINY_GAUSSIAN = '{"variant": "gaussian", "mean": 0, "stddev": 1e-320}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--dist", TINY_GAUSSIAN], "gaussian stddev 1e-320 does not fit a double"),
+    (["bound", "--kind", "variance", "--dist", TINY_GAUSSIAN],
+     "gaussian stddev 1e-320 does not fit a double"),
+    (["oracle", "--dist", '{"variant": "laplace", "mean": 0, "scale": 1e-320}'],
+     "laplace scale 1e-320 does not fit a double"),
+    (["oracle", "--dist", '{"variant": "uniform", "lo": 0, "hi": 5e-324}'],
+     "uniform width 5e-324 does not fit a double"),
+    (["oracle", "--dist", '{"variant": "mean_of_n", "n": 16, "base": '
+      '{"variant": "uniform", "lo": 0, "hi": 1e-306}}'],
+     "uniform draws of half-width 5e-307 has frequencies that do not fit a double"),
+    (["oracle", "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1e303}'],
+     "the expectation of cos on this gaussian distribution does not fit a double"),
+    (["oracle", "--dist", '{"variant": "mean_of_n", "n": 16, "base": '
+      '{"variant": "uniform", "lo": -1e308, "hi": 1e308}}'],
+     "uniform on [-1e+308, 1e+308] does not fit a double"),
+], ids=["gaussian", "variance_bound", "laplace", "uniform", "mean_of_narrow_uniform",
+        "wide_gaussian", "mean_of_overflowing_uniform"])
+def test_law_past_a_double_is_input_error(capsys, argv, message):
+    code = cli.main([*argv, "--function", COS])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["bound"], "--kind"),
     (["tightness"], "--construction"),

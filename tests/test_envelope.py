@@ -619,7 +619,7 @@ def test_solver_side_envelope_errors(solve, error, words):
     with pytest.raises(error, match=words) as raised:
         solve()
     # raised by the checks after the solve, not by the growth screen
-    assert raised.traceback[-1].name == "_solve_declared"
+    assert raised.traceback[-1].name == "_choose"
 
 
 def test_parameter_rejections():

@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import jensengap.cli as cli
 from jensengap.bounds import BoundReport, upper_bound
 from jensengap.distributions import (
     DEFAULT_NODES,
@@ -11,11 +17,12 @@ from jensengap.distributions import (
     Gaussian,
     Laplace,
     Uniform,
+    distribution_from_dict,
     mean_of_n,
     two_point,
 )
 from jensengap.envelope import sup_ratio_upper
-from jensengap.errors import DomainError, EvaluationError, InvalidParameterError
+from jensengap.errors import DomainError, EvaluationError, InvalidParameterError, JensenGapError
 from jensengap.functions import (
     GAP_BELOW,
     Interval,
@@ -334,3 +341,49 @@ def test_verify_matches_the_three_branch_rule():
         assert out.margin == margin or (math.isnan(out.margin) and math.isnan(margin))
         seen.add((kind, verdict))
     assert len(seen) == 3 * len(kinds)
+
+
+@st.composite
+def extreme_laws(draw):
+    """A Gaussian, Laplace or uniform descriptor, or the mean of n <= 10^4
+    of them, whose scale or width is log-uniform over 1e-320 to 1e308."""
+    scale = 10.0 ** draw(st.floats(min_value=-320.0, max_value=308.0))
+    law = draw(st.sampled_from([
+        {"variant": "gaussian", "mean": 0.0, "stddev": scale},
+        {"variant": "laplace", "mean": 0.0, "scale": scale},
+        {"variant": "uniform", "lo": 0.0, "hi": scale},
+    ]))
+    n = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=10_000)))
+    return law if n == 1 else {"variant": "mean_of_n", "base": law, "n": n}
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=extreme_laws())
+# a base whose density overflows, and one whose width once overflowed the
+# cosine series' cut (tests/test_cli.py pins the messages of the others)
+@example(law={"variant": "mean_of_n", "n": 16,
+              "base": {"variant": "uniform", "lo": 0.0, "hi": 1e-320}})
+@example(law={"variant": "mean_of_n", "n": 16,
+              "base": {"variant": "uniform", "lo": -1e307, "hi": 1e307}})
+def test_extreme_scales_give_a_finite_gap_or_a_typed_error(law):
+    """A law whose density or width does not fit a double is refused with a
+    JensenGapError, never answered with inf or nan, in the library and in
+    the CLI alike."""
+    base = law.get("base", law)
+    mu = (base["lo"] + base["hi"]) / 2.0 if base["variant"] == "uniform" else 0.0
+    try:
+        gap = jensen_gap(make_function("cos", mu), distribution_from_dict(law))
+    except JensenGapError:
+        pass
+    else:
+        assert math.isfinite(gap.value) and math.isfinite(gap.abs_error), (law, gap)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["oracle", "--function", f'{{"kind": "cos", "mu": {mu!r}}}',
+                         "--dist", json.dumps(law)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and "nan" not in out and "inf" not in out, (law, out)
+    else:
+        assert code == 1 and out == "", law
+        assert err.startswith("error: ") and err.count("\n") == 1, (law, err)
