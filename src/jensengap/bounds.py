@@ -1,13 +1,12 @@
 """Bound formulas: envelope constants combined with absolute central moments.
 
-Each operation assembles one inequality into a BoundReport through one
-pipeline (``_report``): check the mean, solve the envelope constants, take
-the moments, evaluate the formula with its uncertainty, report.  The
-variance interval is one formula over it.  Every other kind is a spec of
-the power-sum formula M (sum c m_r)^power / (sum c m_r)^root: the upper
-bound and the Cauchy-Schwarz and Hoelder lower bounds are the two-term and
-one-term cases of the general power-sum bounds, reported with their own
-parameters.  The report carries everything needed
+Each operation assembles one inequality into a BoundReport, built in one
+place (``_report``), after it checks the mean, solves its envelope constants
+and takes its moments.  The variance interval is one formula; every other
+kind is a spec of the power-sum formula M (sum c m_r)^power / (sum c
+m_r)^root: the upper bound and the Cauchy-Schwarz and Hoelder lower bounds
+are the two-term and one-term cases of the general power-sum bounds,
+reported with their own parameters.  The report carries everything needed
 to audit or serialize the claim: the envelope constant with its attainment
 point, every moment value used with its provenance, the parameter set, and
 an uncertainty that folds the moment error estimates through the formula
@@ -129,29 +128,22 @@ def _frexp_sum(total, terms):
     return mant, e + top
 
 
-def _report(kind, mu, dist, solve, orders, evaluate, moment_kw, params=None):
-    """The one bound pipeline: check the distribution's mean against ``mu``,
-    solve the envelope constants with ``solve()`` (after that check, so a
-    mismatch costs no solve), take the moments of ``orders`` and report
-    ``evaluate(constants, moments)``, a (value, uncertainty, loose value)
-    triple.  The first constant is the report's ``envelope`` and a second
-    its ``envelope_hi``; ``params`` defaults to the first one's."""
-    mean = _check_mean(mu, dist)
-    constants = solve()
-    moments = dist.abs_central_moments(orders, **moment_kw)
-    value, unc, loose = evaluate(constants, moments)
+def _report(kind, mean, dist, moments, value, unc, params, M, M_hi=None, loose=None):
+    """The BoundReport of every kind: ``M`` is the envelope constant the
+    formula multiplies, ``M_hi`` the variance interval's sup constant, and
+    ``valid`` is read from them here."""
     return BoundReport(
         kind=kind,
         value=value,
         mu=mean,
-        envelope=constants[0],
-        envelope_hi=constants[1] if len(constants) > 1 else None,
+        envelope=M,
+        envelope_hi=M_hi,
         moments_used=tuple(moments.values()),
-        params=constants[0].params if params is None else params,
-        valid=all([c.validated for c in constants]),
+        params=params,
+        valid=all(c.validated for c in (M, M_hi) if c is not None),
         uncertainty=unc,
         loose_value=loose,
-        f_label=constants[0].f_label,
+        f_label=M.f_label,
         dist_label=dist.variant,
     )
 
@@ -186,25 +178,25 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
         e += power * e_t - root * e_d
         return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
 
-    def evaluate(_, moments):
-        # the uncertainty is the first-order response to each moment's error
-        # estimate, measured by re-evaluation and summed exactly
-        m = {p: mv.sigma_p_pow for p, mv in moments.items()}
-        try:
-            value = float(formula(m))
-            unc = _fsum(abs(formula({**m, p: m[p] + mv.abs_error_estimate}) - value)
-                        for p, mv in moments.items() if mv.abs_error_estimate)
-            loose_value = None if loose is None else float(loose(m))
-            if not all(math.isfinite(v) for v in (value, loose_value) if v is not None):
-                raise OverflowError
-        except OverflowError:
-            raise EvaluationError(
-                f"the {kind} bound on this {dist.variant} distribution "
-                "overflows a double") from None
-        return value, unc, loose_value
-
+    mean = _check_mean(M.mu, dist)
     orders = [r for _, r in num + den if r is not None]
-    return _report(kind, M.mu, dist, lambda: (M,), orders, evaluate, moment_kw, params)
+    moments = dist.abs_central_moments(orders, **moment_kw)
+    # the uncertainty is the first-order response to each moment's error
+    # estimate, measured by re-evaluation and summed exactly
+    m = {p: mv.sigma_p_pow for p, mv in moments.items()}
+    try:
+        value = float(formula(m))
+        unc = _fsum(abs(formula({**m, p: m[p] + mv.abs_error_estimate}) - value)
+                    for p, mv in moments.items() if mv.abs_error_estimate)
+        if loose is not None:
+            loose = float(loose(m))
+        if not all(math.isfinite(v) for v in (value, loose) if v is not None):
+            raise OverflowError
+    except OverflowError:
+        raise EvaluationError(
+            f"the {kind} bound on this {dist.variant} distribution "
+            "overflows a double") from None
+    return _report(kind, mean, dist, moments, value, unc, params, M, loose=loose)
 
 
 def upper_bound(M, dist, alpha, n, **moment_kw):
@@ -335,13 +327,15 @@ def variance_interval(f, dist, **moment_kw):
     checked before the curvature is solved, and the curvature is solved
     once per FunctionSpec: later intervals of the same f reuse it.
     """
-    def interval(h, moments):
-        m2, err2 = moments[2.0].sigma_p_pow, moments[2.0].abs_error_estimate
-        unc = max((abs(c.value) * err2 for c in h if math.isfinite(c.value)), default=0.0)
-        return (0.0, 0.0) if m2 == 0.0 else (h[0].value * m2, h[1].value * m2), unc, None
-
-    return _report("variance_interval", f.mu, dist, lambda: curvature_envelope(f),
-                   [2.0], interval, moment_kw)
+    mean = _check_mean(f.mu, dist)
+    h_lo, h_hi = curvature_envelope(f)
+    moments = dist.abs_central_moments([2.0], **moment_kw)
+    m2, err2 = moments[2.0].sigma_p_pow, moments[2.0].abs_error_estimate
+    value = (0.0, 0.0) if m2 == 0.0 else (h_lo.value * m2, h_hi.value * m2)
+    unc = max((abs(h.value) * err2 for h in (h_lo, h_hi) if math.isfinite(h.value)),
+              default=0.0)
+    return _report("variance_interval", mean, dist, moments, value, unc, h_lo.params,
+                   h_lo, h_hi)
 
 
 def general_bounds(f, dist, terms, mode, k=None, sign=GAP_ABOVE, **moment_kw):

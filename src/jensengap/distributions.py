@@ -826,6 +826,11 @@ class MeanOfN(_NamedContinuous):
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n))
+        if isinstance(self.base, Gaussian):
+            # refused here, not by the Gaussian ``_gaussian`` builds mid-gap
+            s = self.base.stddev / math.sqrt(self.n)
+            _check_peak(f"the mean of {self.n} draws has gaussian stddev", s,
+                        s * math.sqrt(2.0 * math.pi))
 
     def mean(self):
         return self.base.mean()

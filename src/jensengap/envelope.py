@@ -326,8 +326,9 @@ def _side_candidates(f, t_off, w, side_sign, unbounded):
 
 def _optimize(f, ratio_on, roles, params, *, max_offset, screen=None):
     """The EnvelopeConstant of each of ``roles``, carrying ``params``: the
-    infimum of the ratio over the domain minus the mean for a role ending in
-    "_inf", else the supremum.
+    infimum of the ratio over the domain minus the mean under a "lower"
+    screen, the supremum under an "upper" one, and without a screen the
+    infimum for a role ending in "_inf", else the supremum.
 
     ratio_on(signs, offsets) must return (ratio, noise) arrays at
     ``mu + signs * offsets``, with ``signs`` a side sign per offset or one
@@ -343,7 +344,8 @@ def _optimize(f, ratio_on, roles, params, *, max_offset, screen=None):
     solver's limit checks see climbs its sparser reading misses), and a
     lower infimum indistinguishable from zero raises DegenerateEnvelopeError.
     """
-    directions = [-1.0 if role.endswith("_inf") else 1.0 for role in roles]
+    lower = [screen == "lower" if screen else role.endswith("_inf") for role in roles]
+    directions = [-1.0 if low else 1.0 for low in lower]
     candidates = [[] for _ in roles]
     probes = 0
     # one row per bracket: (direction index, side sign, lo, hi)

@@ -170,8 +170,11 @@ TINY_GAUSSIAN = '{"variant": "gaussian", "mean": 0, "stddev": 1e-320}'
     (["oracle", "--dist", '{"variant": "mean_of_n", "n": 16, "base": '
       '{"variant": "uniform", "lo": -1e308, "hi": 1e308}}'],
      "uniform on [-1e+308, 1e+308] does not fit a double"),
+    (["oracle", "--dist", '{"variant": "mean_of_n", "n": 10000, "base": '
+      '{"variant": "gaussian", "mean": 0, "stddev": 1e-307}}'],
+     "the mean of 10000 draws has gaussian stddev 1e-309 does not fit a double"),
 ], ids=["gaussian", "variance_bound", "laplace", "uniform", "mean_of_narrow_uniform",
-        "wide_gaussian", "mean_of_overflowing_uniform"])
+        "wide_gaussian", "mean_of_overflowing_uniform", "mean_of_narrow_gaussian"])
 def test_law_past_a_double_is_input_error(capsys, argv, message):
     code = cli.main([*argv, "--function", COS])
     captured = capsys.readouterr()

@@ -563,6 +563,23 @@ def test_upper_screen_gives_the_validate_growth_verdicts():
         sup_ratio_upper(rising, 1.5, 2.0)
 
 
+def test_validate_growth_reports_the_solver_extremum_of_its_role():
+    # x^2 + x^4: the lower ratio 2 (1 + x^2) at alpha = beta = 2 rises away
+    # from its infimum 2 at mu, so a lower report that read the supremum
+    # would be inf far out
+    f = make_function("polynomial", 0.0, coeffs=(0.0, 0.0, 1.0, 0.0, 1.0))
+    lower = validate_growth(f, GrowthDeclaration("lower", alpha=2.0, beta=2.0))
+    m = inf_ratio_lower(f, 2.0, 2.0)
+    assert lower.passed and m.value == pytest.approx(2.0, rel=1e-9)
+    assert (lower.worst_ratio, lower.worst_x) == (m.value, m.arg)
+    # |f - f(mu)| / (x^2 + x^4) is 1 everywhere at alpha = 2, n = 4, but
+    # (x^2 + x^4) / 2 x^2 at alpha = n = 2 climbs to no supremum
+    upper = validate_growth(f, GrowthDeclaration("upper", alpha=2.0, n=4.0))
+    m = sup_ratio_upper(f, 2.0, 4.0)
+    assert upper.passed and (upper.worst_ratio, upper.worst_x) == (m.value, m.arg)
+    assert not validate_growth(f, GrowthDeclaration("upper", alpha=2.0, n=2.0)).passed
+
+
 def _sqrt_hyperbola():
     # sqrt(1 + x^2) - 1: x^2 / 2 near the mean, |x| far out
     return custom_function(lambda x: np.sqrt(1.0 + np.square(x)) - 1.0, 0.0,
