@@ -15,18 +15,18 @@ special cases.
 The mean of n independent draws (``MeanOfN``) takes its even integer
 moments in closed form from the base's central moments, for every base.
 Its expectations and other moments are exact where the base has a known
-density of the mean: a Gaussian base gives another Gaussian, and Laplace
-and uniform bases give a density that the quadrature below integrates (from
-IRWIN_HALL_BELOW uniform draws on, a Fourier cosine series with a certified
-cut).
-Discrete, empirical and nested bases fall back to seeded Monte Carlo.
+density of the mean, which the same quadrature integrates: N(mu,
+sigma^2/n) for a Gaussian base, a Gamma mixture for a Laplace base, and
+for a uniform base the Irwin-Hall polynomial or, from IRWIN_HALL_BELOW
+draws on, a Fourier cosine series with a certified cut.  Discrete,
+empirical and nested bases fall back to seeded Monte Carlo.
 """
 
 import math
 import numbers
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -325,9 +325,17 @@ class Distribution(ABC):
             err = math.inf
         return Expectation(value, err, "monte_carlo", len(vals))
 
-    @abstractmethod
     def to_dict(self):
-        ...
+        """The JSON descriptor: ``variant`` and then the variant's keys in
+        ``_VARIANTS``, each the constructor field in its place, with tuples
+        as lists and a base law as its own descriptor."""
+        def plain(v):
+            if isinstance(v, Distribution):
+                return v.to_dict()
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+
+        values = (plain(getattr(self, f.name)) for f in fields(self) if f.init)
+        return {"variant": self.variant, **dict(zip(_VARIANTS[self.variant][1], values))}
 
     def abs_central_moment(self, p, method="auto", seed=None,
                            samples=DEFAULT_MOMENT_SAMPLES, nodes=DEFAULT_NODES):
@@ -480,9 +488,6 @@ class Discrete(Distribution):
         mu = self.mean()
         return _central_list(p, lambda j: math.fsum(q * (x - mu) ** j for x, q in self.points))
 
-    def to_dict(self):
-        return {"variant": "discrete", "points": [[x, q] for x, q in self.points]}
-
 
 @dataclass(frozen=True)
 class Empirical(Discrete):
@@ -512,9 +517,6 @@ class Empirical(Discrete):
         rng = stream(resolve_seed(seed), purpose)
         return rng.choice(np.asarray(self.samples), size=check_count(count, "count"))
 
-    def to_dict(self):
-        return {"variant": "empirical", "samples": list(self.samples)}
-
 
 # ---------------------------------------------------------------------------
 # Named continuous families
@@ -523,10 +525,10 @@ class _NamedContinuous(Distribution):
     """Shared quadrature machinery: one adaptive Gauss-Kronrod pass.
 
     The named families are symmetric about their mean; ``MeanOfN`` reuses
-    the machinery for the mean of n Laplace or uniform draws.  Each family
-    gives log E|X - mean|^p (``_log_abs_moment_pow``), its density, a scale
-    (``_scale``) and a bound on the density mass it misses, which is 0
-    unless the density is itself approximated.
+    the machinery for the mean of n Gaussian, Laplace or uniform draws.
+    Each family gives log E|X - mean|^p (``_log_abs_moment_pow``), its
+    density, a scale (``_scale``) and a bound on the density mass it misses,
+    which is 0 unless the density is itself approximated.
 
     A bounded support is integrated over itself, split at the mean.  An
     unbounded one is mapped onto t in (-1, 1) by x = mean + s t / (1 - |t|),
@@ -602,6 +604,17 @@ def _check_peak(what, value, reciprocal):
             f"{what} {value!r} does not fit a double: its density overflows")
 
 
+def _normal_pdf(x, m, s):
+    z = (x - m) / s
+    return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+
+
+def _normal_log_abs_moment_pow(s, p):
+    # E|X - m|^p = s^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi) for X ~ N(m, s^2)
+    return (p * math.log(s) + 0.5 * p * math.log(2.0)
+            + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+
+
 @dataclass(frozen=True)
 class Gaussian(_NamedContinuous):
     mean_value: float
@@ -624,20 +637,14 @@ class Gaussian(_NamedContinuous):
         return self.stddev
 
     def _pdf(self, x):
-        z = (x - self.mean_value) / self.stddev
-        return np.exp(-0.5 * z * z) / (self.stddev * math.sqrt(2.0 * math.pi))
+        return _normal_pdf(x, self.mean_value, self.stddev)
 
     def _log_abs_moment_pow(self, p):
-        # E|X - m|^p = s^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
-        return (p * math.log(self.stddev) + 0.5 * p * math.log(2.0)
-                + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+        return _normal_log_abs_moment_pow(self.stddev, p)
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
         return rng.normal(self.mean_value, self.stddev, size=check_count(count, "count"))
-
-    def to_dict(self):
-        return {"variant": "gaussian", "mean": self.mean_value, "stddev": self.stddev}
 
 
 @dataclass(frozen=True)
@@ -671,9 +678,6 @@ class Laplace(_NamedContinuous):
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
         return rng.laplace(self.mean_value, self.scale, size=check_count(count, "count"))
-
-    def to_dict(self):
-        return {"variant": "laplace", "mean": self.mean_value, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -711,9 +715,6 @@ class Uniform(_NamedContinuous):
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
         return rng.uniform(self.lo, self.hi, size=check_count(count, "count"))
-
-    def to_dict(self):
-        return {"variant": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +802,8 @@ class MeanOfN(_NamedContinuous):
     result is exact to rounding.  Expectations and the other moment orders
     are exact where the base gives the mean a known density:
 
-    - a Gaussian base gives Gaussian(mu, sigma/sqrt(n));
+    - a Gaussian base gives N(mu, sigma^2/n): its closed-form moments, and
+      its density integrated over the whole line;
     - a Laplace base gives |S|/b, for S the centred sum, a negative-binomial
       mixture of Gamma(k+1) laws, k < n, integrated over the whole line by
       the named families' quadrature;
@@ -827,8 +829,7 @@ class MeanOfN(_NamedContinuous):
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n))
         if isinstance(self.base, Gaussian):
-            # refused here, not by the Gaussian ``_gaussian`` builds mid-gap
-            s = self.base.stddev / math.sqrt(self.n)
+            s = self._scale()
             _check_peak(f"the mean of {self.n} draws has gaussian stddev", s,
                         s * math.sqrt(2.0 * math.pi))
 
@@ -856,22 +857,21 @@ class MeanOfN(_NamedContinuous):
             del block  # free it before the next chunk is drawn
         return out
 
-    def _gaussian(self):
-        return Gaussian(self.base.mean_value, self.base.stddev / math.sqrt(self.n))
-
     def _has_density(self):
         return isinstance(self.base, (Gaussian, Laplace, Uniform))
 
-    def _quadrature(self, g, nodes, label):
+    def _scale(self):
+        # the standard deviation of the mean; Laplace(m, b) has variance 2 b^2
         if isinstance(self.base, Gaussian):
-            return self._gaussian()._quadrature(g, nodes, label)
-        return super()._quadrature(g, nodes, label)
+            return self.base.stddev / math.sqrt(self.n)
+        return self.base.scale * math.sqrt(2.0 / self.n)
 
     def _exact_moment(self, p):
         if p % 2 == 0 and p <= MAX_SERIES_ORDER:
             return _moment(p, self._central_moments(int(p))[-1], "closed_form", 0.0)
         if isinstance(self.base, Gaussian):
-            return self._gaussian()._exact_moment(p)
+            log_pow = _normal_log_abs_moment_pow(self._scale(), p)
+            return _moment(p, math.exp(log_pow), "closed_form", 0.0)
         return None
 
     def _central_moments(self, p):
@@ -891,13 +891,12 @@ class MeanOfN(_NamedContinuous):
     def _density(self):
         if isinstance(self.base, Uniform):
             return self._uniform_mean_pdf()
+        if isinstance(self.base, Gaussian):  # N(mu, sigma^2 / n)
+            mu, s = self.mean(), self._scale()
+            return (lambda xs: _normal_pdf(xs, mu, s)), 0.0
         return self._laplace_mean_pdf(), 0.0
 
-    # -- Laplace base: the hooks of the whole-line quadrature -----------------
-
-    def _scale(self):
-        # the standard deviation of the mean; Laplace(m, b) has variance 2 b^2
-        return self.base.scale * math.sqrt(2.0 / self.n)
+    # -- Laplace base ---------------------------------------------------------
 
     def _laplace_mean_pdf(self):
         # |S|/b for the centred sum S is Gamma(k+1) with probability
@@ -951,9 +950,6 @@ class MeanOfN(_NamedContinuous):
 
         return (lambda xs: _blockwise(series, xs, coeffs.size)), INVERSION_TOL
 
-    def to_dict(self):
-        return {"variant": "mean_of_n", "base": self.base.to_dict(), "n": self.n}
-
 
 # ---------------------------------------------------------------------------
 # Constructions
@@ -1000,9 +996,9 @@ def distribution_from_dict(d):
     v = d["variant"]
     if not isinstance(v, str) or v not in _VARIANTS:
         raise InvalidParameterError(f"unknown distribution variant {v!r}")
-    make, fields = _VARIANTS[v]
+    make, keys = _VARIANTS[v]
     return make(*_read_fields(d, f"distribution descriptor for {v!r}", "variant",
-                              fields).values())
+                              keys).values())
 
 
 # each variant's constructor and its fields, in argument order

@@ -326,9 +326,8 @@ def _side_candidates(f, t_off, w, side_sign, unbounded):
 
 def _optimize(f, ratio_on, roles, params, *, max_offset, screen=None):
     """The EnvelopeConstant of each of ``roles``, carrying ``params``: the
-    infimum of the ratio over the domain minus the mean under a "lower"
-    screen, the supremum under an "upper" one, and without a screen the
-    infimum for a role ending in "_inf", else the supremum.
+    infimum of the ratio over the domain minus the mean for a role ending in
+    "_inf", else the supremum.
 
     ratio_on(signs, offsets) must return (ratio, noise) arrays at
     ``mu + signs * offsets``, with ``signs`` a side sign per offset or one
@@ -344,8 +343,7 @@ def _optimize(f, ratio_on, roles, params, *, max_offset, screen=None):
     solver's limit checks see climbs its sparser reading misses), and a
     lower infimum indistinguishable from zero raises DegenerateEnvelopeError.
     """
-    lower = [screen == "lower" if screen else role.endswith("_inf") for role in roles]
-    directions = [-1.0 if low else 1.0 for low in lower]
+    directions = [-1.0 if role.endswith("_inf") else 1.0 for role in roles]
     candidates = [[] for _ in roles]
     probes = 0
     # one row per bracket: (direction index, side sign, lo, hi)
@@ -491,17 +489,6 @@ def check_terms(terms):
     return tuple(sorted(cleaned))
 
 
-def _comparison_terms(decl):
-    """The power sum a declaration compares f with: |t|^alpha + |t|^n for
-    the upper role, |t|^-beta + |t|^-alpha for the lower one, which
-    collapses to 2 |t|^-alpha when beta equals alpha."""
-    if decl.role == "upper":
-        return ((decl.alpha, 1.0), (decl.n, 1.0))
-    if decl.beta == decl.alpha:
-        return ((decl.alpha, 2.0),)
-    return ((decl.beta, 1.0), (decl.alpha, 1.0))
-
-
 def _memo(f, key, solve):
     """``f._solved[key]``, calling ``solve()`` and keeping its result on
     first use.  A solve that raises keeps nothing, so the next call raises
@@ -513,9 +500,9 @@ def _memo(f, key, solve):
 
 def _declared_envelope(f, decl, terms, role, params):
     """Screen the declared growth and solve its envelope constant, once per
-    FunctionSpec: the constant is kept in ``f._solved`` under everything the
-    solve reads, so a later call with the same arguments returns the same
-    object without calling the rule.
+    FunctionSpec: the constant is kept in ``f._solved`` under (role,
+    params), which fix the declaration and the terms, so a later call with
+    the same arguments returns the same object without calling the rule.
 
     Upper role: sup over x != mu of |f(x) - f(mu)| / sum_eta a_eta |x-mu|^eta.
     Lower role: inf over x != mu of the signed deviation (per ``decl.sign``)
@@ -524,7 +511,7 @@ def _declared_envelope(f, decl, terms, role, params):
     multiplying by the sum.  An infimum indistinguishable from zero raises
     DegenerateEnvelopeError.
     """
-    return _memo(f, (role, decl, terms, params),
+    return _memo(f, (role, params),
                  lambda: _solve_declared(f, decl, terms, role, params))
 
 
@@ -555,7 +542,8 @@ def sup_ratio_upper(f, alpha, n):
     """
     decl = GrowthDeclaration("upper", alpha=float(alpha), n=float(n))
     params = (("alpha", decl.alpha), ("n", decl.n))
-    return _declared_envelope(f, decl, _comparison_terms(decl), "upper_sup", params)
+    terms = ((decl.alpha, 1.0), (decl.n, 1.0))
+    return _declared_envelope(f, decl, terms, "upper_sup", params)
 
 
 def inf_ratio_lower(f, alpha, beta, sign=GAP_ABOVE):
@@ -569,7 +557,10 @@ def inf_ratio_lower(f, alpha, beta, sign=GAP_ABOVE):
     """
     decl = GrowthDeclaration("lower", alpha=float(alpha), beta=float(beta), sign=sign)
     params = (("alpha", decl.alpha), ("beta", decl.beta), ("sign", sign))
-    return _declared_envelope(f, decl, _comparison_terms(decl), "lower_inf", params)
+    # |t|^-beta + |t|^-alpha, which is 2 |t|^-alpha when beta equals alpha
+    terms = (((decl.alpha, 2.0),) if decl.beta == decl.alpha
+             else ((decl.beta, 1.0), (decl.alpha, 1.0)))
+    return _declared_envelope(f, decl, terms, "lower_inf", params)
 
 
 def curvature_envelope(f):

@@ -106,8 +106,8 @@ class FunctionSpec:
     function's descriptor (a custom rule has none).
 
     ``_solved`` holds every envelope constant solved for this spec (the
-    curvature pair and each declared or general constant, keyed by what
-    its solve reads), so each is computed once per spec.  It takes no part
+    curvature pair and each declared or general constant, keyed by its
+    role and parameters), so each is computed once per spec.  It takes no part
     in equality or hashing, and a spec made by ``dataclasses.replace`` or
     ``linear_shift`` starts without it.
     """
@@ -408,17 +408,18 @@ class GrowthReport:
 def validate_growth(f, decl):
     """Screen a GrowthDeclaration on the envelope solver's probe scan.
 
-    A view over the solver, for callers that want a verdict rather than an
-    exception: the report fails, with the screen's reason, when an upper
-    ratio climbs without bound or a lower one has the wrong sign or decays
-    to zero.  A passing report carries the envelope constant of the
-    declaration's own comparison curve and where it is attained.  Other
+    A view over ``sup_ratio_upper`` and ``inf_ratio_lower`` for callers
+    that want a verdict rather than an exception: the report fails, with
+    the screen's reason, when an upper ratio climbs without bound or a lower
+    one has the wrong sign or decays to zero.  A passing report carries the
+    constant those solvers keep on ``f`` and where it is attained.  Other
     typed errors, such as a degenerate constant, propagate.
     """
-    from .envelope import _comparison_terms, _declared_envelope
+    from .envelope import inf_ratio_lower, sup_ratio_upper
 
     try:
-        m = _declared_envelope(f, decl, _comparison_terms(decl), decl.role, ())
+        m = (sup_ratio_upper(f, decl.alpha, decl.n) if decl.role == "upper"
+             else inf_ratio_lower(f, decl.alpha, decl.beta, decl.sign))
     except (UnboundedEnvelopeError, ConditionViolationError) as exc:
         return GrowthReport(False, decl.role, math.nan, math.nan, str(exc))
     return GrowthReport(True, decl.role, m.arg, m.value)
