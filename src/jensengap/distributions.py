@@ -69,6 +69,10 @@ _MIX_LOG_FLOOR = math.log(1e-20)
 # within their error bars most often (8 misses in 450 seeded laws, against
 # mpmath; 9 at 1.5, 15 at 3, 17 at 4)
 _WHOLE_LINE_SCALE = 2.0
+# below this order an exact moment's power rounds to about 1 + p log sigma_p,
+# so sigma_p is built from an accurate log of it (``_from_log``); from this
+# order on the power's root is good to a few 1e-13 (against mpmath)
+_SMALL_ORDER = 1e-3
 
 
 class Expectation(NamedTuple):
@@ -99,6 +103,31 @@ class MomentValue:
 def _moment(p, pow_value, method, abs_error):
     root = pow_value ** (1.0 / p) if pow_value > 0 else 0.0
     return MomentValue(float(p), root, float(pow_value), method, float(abs_error))
+
+
+def _from_log(p, log_pow, method):
+    """The exact MomentValue whose E|X - mu|^p has the log ``log_pow``;
+    below _SMALL_ORDER sigma_p is exp(log_pow / p), not the p-th root of a
+    power that has rounded near 1."""
+    if p < _SMALL_ORDER:
+        return MomentValue(float(p), math.exp(log_pow / p), math.exp(log_pow), method, 0.0)
+    return _moment(p, math.exp(log_pow), method, 0.0)
+
+
+def _lgamma_step(p, half):
+    """lgamma(1 + p) - lgamma(1), or with ``half`` lgamma((1 + p)/2) -
+    lgamma(1/2), for 0 < p < _SMALL_ORDER, where lgamma itself loses p to
+    the rounding of its argument.  Their Taylor series in p have the p^k
+    coefficient (-1)^k zeta(k) / k for k >= 2, times 1 - 2^-k with
+    ``half``, and -gamma, or -gamma/2 - ln 2, for k = 1; the first term
+    dropped, k = 8, is below 1e-24 p."""
+    zetas = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+             1.0369277551433699, 1.0173430619844491, 1.0083492773819228)
+    tail = 0.0  # the sum over k >= 2 divided by p^2, by Horner
+    for k in range(7, 1, -1):
+        tail = tail * p + (-1) ** k * zetas[k - 2] / k * (1.0 - 2.0 ** -k if half else 1.0)
+    euler = 0.5772156649015329
+    return p * ((-0.5 * euler - math.log(2.0) if half else -euler) + p * tail)
 
 
 def _check_order(p):
@@ -481,6 +510,13 @@ class Discrete(Distribution):
 
     def _exact_moment(self, p):
         mu = self.mean()
+        if p < _SMALL_ORDER:
+            # log1p of the weighted mean of |x - mu|^p - 1, an atom at mu
+            # giving -1: the sum of the powers would round to 1 + p E log|X - mu|
+            total = math.fsum(q for _, q in self.points)
+            dev = math.fsum(q * (math.expm1(p * math.log(abs(x - mu))) if x != mu else -1.0)
+                            for x, q in self.points) / total
+            return _from_log(p, math.log1p(dev) if dev > -1.0 else -math.inf, "exact_sum")
         pow_value = math.fsum(q * abs(x - mu) ** p for x, q in self.points)
         return _moment(p, pow_value, "exact_sum", 0.0)
 
@@ -570,15 +606,24 @@ class _NamedContinuous(Distribution):
 
         support = self.support_interval()
         if math.isfinite(support.lo) and math.isfinite(support.hi):
-            h, a, mid, b = integrand, support.lo, mu, support.hi
+            h, a, mid, b, dx_dt = integrand, support.lo, mu, support.hi, 1.0
         else:
-            s = _WHOLE_LINE_SCALE * self._scale()
+            s = dx_dt = _WHOLE_LINE_SCALE * self._scale()
 
             def h(ts):
                 d = 1.0 - np.abs(ts)
                 return integrand(mu + s * ts / d) * (s / (d * d))
 
             a, mid, b = -1.0, 0.0, 1.0
+        # a full first pass's two nodes either side of the split lie
+        # 1 - _XGK[0] of a cell apart.  Where the doubles at the mean are
+        # coarser, both round onto it: the rule then sums a few points over
+        # and over, and its error estimate means nothing
+        cell = dx_dt * min(mid - a, b - mid) / _START_CELLS
+        if (1.0 - _XGK[0]) * cell < math.ulp(mu):
+            raise EvaluationError(
+                f"the quadrature nodes of this {self.variant} distribution round onto "
+                f"its mean {mu!r}: its spread is too narrow for the doubles there")
         # the density is off by at most ``missed`` / width, so the integral
         # moves by at most missed times the largest |g| seen.  Where g, the
         # density or the map overflows, the value or its error is not finite,
@@ -588,7 +633,7 @@ class _NamedContinuous(Distribution):
         return Expectation(value, quad_err + missed * peak, "quadrature", evals)
 
     def _exact_moment(self, p):
-        return _moment(p, math.exp(self._log_abs_moment_pow(p)), "closed_form", 0.0)
+        return _from_log(p, self._log_abs_moment_pow(p), "closed_form")
 
     def _central_moments(self, p):
         # symmetric about the mean: the odd central moments vanish
@@ -611,6 +656,8 @@ def _normal_pdf(x, m, s):
 
 def _normal_log_abs_moment_pow(s, p):
     # E|X - m|^p = s^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi) for X ~ N(m, s^2)
+    if p < _SMALL_ORDER:
+        return p * math.log(s) + 0.5 * p * math.log(2.0) + _lgamma_step(p, half=True)
     return (p * math.log(s) + 0.5 * p * math.log(2.0)
             + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
 
@@ -673,7 +720,8 @@ class Laplace(_NamedContinuous):
 
     def _log_abs_moment_pow(self, p):
         # |X - m| is exponential with mean `scale`: E|X - m|^p = scale^p Gamma(p+1)
-        return p * math.log(self.scale) + math.lgamma(p + 1.0)
+        log_gamma = _lgamma_step(p, half=False) if p < _SMALL_ORDER else math.lgamma(p + 1.0)
+        return p * math.log(self.scale) + log_gamma
 
     def sample(self, count, seed=None, *, purpose="sample"):
         rng = stream(resolve_seed(seed), purpose)
@@ -870,8 +918,7 @@ class MeanOfN(_NamedContinuous):
         if p % 2 == 0 and p <= MAX_SERIES_ORDER:
             return _moment(p, self._central_moments(int(p))[-1], "closed_form", 0.0)
         if isinstance(self.base, Gaussian):
-            log_pow = _normal_log_abs_moment_pow(self._scale(), p)
-            return _moment(p, math.exp(log_pow), "closed_form", 0.0)
+            return _from_log(p, _normal_log_abs_moment_pow(self._scale(), p), "closed_form")
         return None
 
     def _central_moments(self, p):

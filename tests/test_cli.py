@@ -173,8 +173,16 @@ TINY_GAUSSIAN = '{"variant": "gaussian", "mean": 0, "stddev": 1e-320}'
     (["oracle", "--dist", '{"variant": "mean_of_n", "n": 10000, "base": '
       '{"variant": "gaussian", "mean": 0, "stddev": 1e-307}}'],
      "the mean of 10000 draws has gaussian stddev 1e-309 does not fit a double"),
+    # the quadrature's nodes near the mean would round onto it
+    (["oracle", "--dist", '{"variant": "gaussian", "mean": 1e20, "stddev": 1}'],
+     "the quadrature nodes of this gaussian distribution round onto its mean 1e+20"),
+    (["oracle", "--dist", '{"variant": "laplace", "mean": 1e17, "scale": 1}'],
+     "the quadrature nodes of this laplace distribution round onto its mean 1e+17"),
+    (["oracle", "--dist", f'{{"variant": "uniform", "lo": {2 ** 50 - 1}, "hi": {2 ** 50 + 1}}}'],
+     "the quadrature nodes of this uniform distribution round onto its mean 1125899906842624.0"),
 ], ids=["gaussian", "variance_bound", "laplace", "uniform", "mean_of_narrow_uniform",
-        "wide_gaussian", "mean_of_overflowing_uniform", "mean_of_narrow_gaussian"])
+        "wide_gaussian", "mean_of_overflowing_uniform", "mean_of_narrow_gaussian",
+        "far_gaussian", "far_laplace", "far_uniform"])
 def test_law_past_a_double_is_input_error(capsys, argv, message):
     code = cli.main([*argv, "--function", COS])
     captured = capsys.readouterr()

@@ -490,8 +490,55 @@ def test_laplace_mean_of_one_is_the_laplace():
 def test_gaussian_mean_is_gaussian():
     avg = mean_of_n(Gaussian(1.0, 2.0), 16)
     same = Gaussian(1.0, 0.5)
-    assert avg.expect(np.cos) == same.expect(np.cos)
-    assert avg.abs_central_moment(1.5) == same.abs_central_moment(1.5)
+    kinked = make_function("abs_power", 1.0, alpha=1.5).rule
+    for g in (np.cos, kinked):
+        for nodes in (42, 210, distributions.DEFAULT_NODES):
+            assert avg.expect(g, nodes=nodes) == same.expect(g, nodes=nodes)
+    for p in (1e-17, 1.5):
+        assert avg.abs_central_moment(p) == same.abs_central_moment(p)
+
+
+def test_quadrature_refuses_nodes_that_round_onto_the_mean():
+    # the first pass's nodes either side of the mean lie 0.0043 of a cell
+    # apart, a cell being a quarter of twice the scale: from 2^44 on, the
+    # doubles at the mean of a unit Gaussian are coarser than that
+    for dist in (Gaussian(2.0 ** 44, 1.0), Laplace(1e300, 1.0),
+                 mean_of_n(Laplace(1e17, 4.0), 16), Uniform(2.0 ** 50 - 1, 2.0 ** 50 + 1)):
+        with pytest.raises(EvaluationError, match="round onto its mean"):
+            dist.expect(np.cos)
+        with pytest.raises(EvaluationError, match="round onto its mean"):
+            dist.abs_central_moment(1.5, method="quadrature")
+    assert Gaussian(2.0 ** 43, 1.0).expect(np.cos).method == "quadrature"
+
+
+_EULER = 0.5772156649015329
+
+
+@pytest.mark.parametrize("dist, limit", [
+    (Gaussian(0.0, 1.0), math.exp(-(_EULER + math.log(2.0)) / 2.0)),
+    (Laplace(0.0, 1.0), math.exp(-_EULER)),
+    (Uniform(-1.0, 1.0), math.exp(-1.0)),
+    (two_point(0.0, 2.0), 2.0),
+    (mean_of_n(Gaussian(0.0, 4.0), 16), math.exp(-(_EULER + math.log(2.0)) / 2.0)),
+], ids=["gaussian", "laplace", "uniform", "two_point", "mean_of_gaussians"])
+@pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-12])
+def test_tiny_orders_keep_the_geometric_mean(dist, limit, p):
+    # sigma_p tends to exp(E log|X - mu|) as p -> 0, and is within about p
+    # of it at order p
+    moment = dist.abs_central_moment(p)
+    assert moment.method in ("closed_form", "exact_sum")
+    assert moment.sigma_p == pytest.approx(limit, rel=1e-11)
+
+
+def test_tiny_orders_of_exact_sums():
+    # an atom at the mean sends sigma_p to 0 as p -> 0; one atom, at once
+    assert three_point(0.0, 2.0, 0.5).abs_central_moment(1e-17).sigma_p == 0.0
+    assert Discrete(((3.0, 1.0),)).abs_central_moment(1e-17).sigma_p == 0.0
+    # weights that sum to 1 within PROB_SUM_TOL are read as their shares
+    lopsided = Discrete(((-1.0, 0.5), (4.0, 0.5 + 5e-13)))
+    moment = lopsided.abs_central_moment(1e-17)
+    mu = lopsided.mean()
+    assert moment.sigma_p == pytest.approx(math.sqrt((mu + 1.0) * (4.0 - mu)), rel=1e-11)
 
 
 @pytest.mark.parametrize("base", [Uniform(-1.0, 1.0), Laplace(0.0, 0.75)],
@@ -688,8 +735,24 @@ def test_from_dict_round_trip():
         Empirical((1.0, 2.0, 4.0)),
         mean_of_n(Uniform(-1.0, 1.0), 8),
     )
-    for dist in cases:
-        again = distribution_from_dict(dist.to_dict())
+    # one law built by each variant's reader; three of them build a Discrete
+    every = {
+        "discrete": Discrete(((0.0, 0.25), (1.0, 0.75))),
+        "gaussian": Gaussian(1.0, 2.0),
+        "laplace": Laplace(-1.0, 0.5),
+        "uniform": Uniform(0.0, 3.0),
+        "empirical": Empirical((1.0, 2.0, 4.0, 2.0)),
+        "mean_of_n": mean_of_n(mean_of_n(Laplace(0.0, 1.0), 3), 4),
+        "two_point": two_point(0.25, 1.5),
+        "three_point": three_point(0.0, 2.0, 0.1),
+        "symmetric_outlier": symmetric_outlier(4.0, 1.0),
+    }
+    assert set(every) == set(distributions._VARIANTS)
+    for dist in cases + tuple(every.values()):
+        desc = dist.to_dict()
+        again = distribution_from_dict(desc)
+        assert again == dist
+        assert list(desc) == ["variant", *distributions._VARIANTS[dist.variant][1]]
         assert again.variant == dist.variant
         assert again.mean() == pytest.approx(dist.mean())
         assert again.abs_central_moment(2.0, seed=1).sigma_p_pow == pytest.approx(

@@ -467,6 +467,19 @@ def test_validate_growth_keeps_each_declaration_apart(solves):
     assert len(solves) == 5 + 2
 
 
+def test_validate_growth_reads_the_solved_constant(solves):
+    # a declaration the public solvers already solved is not solved again
+    g = flat_sine()
+    m = sup_ratio_upper(g, 3, 3)
+    report = validate_growth(g, GrowthDeclaration("upper", alpha=3.0, n=3.0))
+    assert report.passed and (report.worst_x, report.worst_ratio) == (m.arg, m.value)
+    f = _square()
+    m = inf_ratio_lower(f, 2.0, 2.0)
+    report = validate_growth(f, GrowthDeclaration("lower", alpha=2.0, beta=2.0))
+    assert report.passed and (report.worst_x, report.worst_ratio) == (m.arg, m.value)
+    assert solves == [g.label, f.label]
+
+
 def test_raising_solve_keeps_nothing(solves):
     f = _square()
     for _ in range(2):
