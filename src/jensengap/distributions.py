@@ -120,7 +120,7 @@ def _lgamma_step(p, half):
     the rounding of its argument.  Their Taylor series in p have the p^k
     coefficient (-1)^k zeta(k) / k for k >= 2, times 1 - 2^-k with
     ``half``, and -gamma, or -gamma/2 - ln 2, for k = 1; the first term
-    dropped, k = 8, is below 1e-24 p."""
+    dropped, k = 8, is below 1.3e-22 p."""
     zetas = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
              1.0369277551433699, 1.0173430619844491, 1.0083492773819228)
     tail = 0.0  # the sum over k >= 2 divided by p^2, by Horner
