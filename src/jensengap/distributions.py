@@ -656,10 +656,10 @@ def _normal_pdf(x, m, s):
 
 def _normal_log_abs_moment_pow(s, p):
     # E|X - m|^p = s^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi) for X ~ N(m, s^2)
+    head = p * math.log(s) + 0.5 * p * math.log(2.0)
     if p < _SMALL_ORDER:
-        return p * math.log(s) + 0.5 * p * math.log(2.0) + _lgamma_step(p, half=True)
-    return (p * math.log(s) + 0.5 * p * math.log(2.0)
-            + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+        return head + _lgamma_step(p, half=True)
+    return head + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
 
 
 @dataclass(frozen=True)
