@@ -463,6 +463,8 @@ def _monte_carlo(vals):
 # Finite support
 
 def _validate_points(points):
+    """The atoms sorted, with their weights divided by the weights' sum, so
+    that every route reads one set of weights that sums to 1 to rounding."""
     cleaned = []
     for x, q in points:
         x, q = float(x), float(q)
@@ -478,7 +480,7 @@ def _validate_points(points):
     total = math.fsum(q for _, q in cleaned)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise InvalidParameterError(f"probabilities sum to {total!r}, not 1")
-    return tuple(cleaned)
+    return tuple((x, q / total) for x, q in cleaned)
 
 
 @dataclass(frozen=True)
@@ -513,9 +515,8 @@ class Discrete(Distribution):
         if p < _SMALL_ORDER:
             # log1p of the weighted mean of |x - mu|^p - 1, an atom at mu
             # giving -1: the sum of the powers would round to 1 + p E log|X - mu|
-            total = math.fsum(q for _, q in self.points)
             dev = math.fsum(q * (math.expm1(p * math.log(abs(x - mu))) if x != mu else -1.0)
-                            for x, q in self.points) / total
+                            for x, q in self.points)
             return _from_log(p, math.log1p(dev) if dev > -1.0 else -math.inf, "exact_sum")
         pow_value = math.fsum(q * abs(x - mu) ** p for x, q in self.points)
         return _moment(p, pow_value, "exact_sum", 0.0)

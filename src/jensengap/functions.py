@@ -103,7 +103,11 @@ class FunctionSpec:
     ``slope_at_mu`` is the analytic derivative at mu when one is known; for
     a convex kink it is the midpoint of the subgradient interval.
     ``descriptor`` is the JSON text, keys sorted, of a built-in or shifted
-    function's descriptor (a custom rule has none).
+    function's descriptor (a custom rule has none).  ``poly`` is f's
+    polynomial form, when the built-in rule is one: power-basis coefficients
+    (a_0, a_1, ...) with f(x) = sum_j a_j x^j up to a linear term.  A linear
+    shift keeps the form as it is, since a linear term adds 0 to a gap;
+    ``taylor_coefficients`` gives its jet.
 
     ``_solved`` holds every envelope constant solved for this spec (the
     curvature pair and each declared or general constant, keyed by its
@@ -118,6 +122,7 @@ class FunctionSpec:
     mu: float
     slope_at_mu: float | None = None
     descriptor: str = ""
+    poly: tuple | None = field(default=None, repr=False)
     _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,6 +166,17 @@ def _apply_rule(rule, xs, label):
         bad = xs[~np.isfinite(vals)][:1]
         raise EvaluationError(f"{label} returned a non-finite value near x = {bad}")
     return vals
+
+
+def taylor_coefficients(poly, m):
+    """[f^(k)(m) / k! for k = 0..d] of the polynomial with power-basis
+    coefficients ``poly`` and degree d (trailing zeros dropped): b_k = sum_j
+    a_j C(j, k) m^(j - k), each summed by math.fsum.  A power past the largest
+    double raises OverflowError, and terms that overflow with both signs
+    raise ValueError."""
+    deg = max((j for j, a in enumerate(poly) if a != 0.0), default=0)
+    return [math.fsum(poly[j] * math.comb(j, k) * m ** (j - k) for j in range(k, deg + 1))
+            for k in range(deg + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +236,8 @@ def _read_fields(d, name, tag, fields, optional=()):
 
 # ---------------------------------------------------------------------------
 # Built-in function rules: each builder takes mu, the domain and the kind's
-# parameters, makes the kind's own checks, and returns the rule and its
-# slope at mu.
+# parameters, makes the kind's own checks, and returns the rule, its slope
+# at mu and its polynomial form (None unless the rule is a polynomial).
 
 def _log(mu, dom):
     if dom is None:
@@ -232,20 +248,20 @@ def _log(mu, dom):
         raise InvalidParameterError(f"log needs mu > 0, got {mu}")
     if dom.lo <= 0:
         raise InvalidParameterError(f"log domain must have a positive lower endpoint, got {dom.lo}")
-    return np.log, 1.0 / mu
+    return np.log, 1.0 / mu, None
 
 
 def _sqrt(mu, dom):
     if dom.lo < 0:
         raise InvalidParameterError("sqrt domain must lie in [0, inf)")
-    return np.sqrt, 0.5 / math.sqrt(mu) if mu > 0 else None
+    return np.sqrt, 0.5 / math.sqrt(mu) if mu > 0 else None, None
 
 
 def _polynomial(mu, dom, coeffs):
     if not coeffs:
         raise InvalidParameterError("polynomial needs at least one coefficient")
     return ((lambda x: np.polynomial.polynomial.polyval(x, coeffs)),
-            float(sum(i * c * mu ** (i - 1) for i, c in enumerate(coeffs) if i > 0)))
+            float(sum(i * c * mu ** (i - 1) for i, c in enumerate(coeffs) if i > 0)), coeffs)
 
 
 # alpha > 1: differentiable with slope 0; alpha == 1: kink, midpoint of the
@@ -254,13 +270,14 @@ def _polynomial(mu, dom, coeffs):
 def _abs_power(mu, dom, alpha):
     if not 0 < alpha < math.inf:
         raise InvalidParameterError("abs_power needs a finite alpha > 0")
-    return (lambda x: np.abs(x - mu) ** alpha), 0.0 if alpha >= 1 else None
+    return (lambda x: np.abs(x - mu) ** alpha), 0.0 if alpha >= 1 else None, None
 
 
 def _abs_power_sum(mu, dom, alpha, n):
     if not 0 < alpha <= n < math.inf:
         raise InvalidParameterError("abs_power_sum needs 0 < alpha <= n < inf")
-    return (lambda x: np.abs(x - mu) ** alpha + np.abs(x - mu) ** n), 0.0 if alpha >= 1 else None
+    return ((lambda x: np.abs(x - mu) ** alpha + np.abs(x - mu) ** n),
+            0.0 if alpha >= 1 else None, None)
 
 
 # Each built-in kind: the parameters it takes besides mu and domain, its
@@ -268,11 +285,12 @@ def _abs_power_sum(mu, dom, alpha, n):
 # label from mu and the parameters as the caller wrote them (None: the
 # kind's name).
 _KINDS = {
-    "sin": ({}, Interval(), lambda mu, dom: (np.sin, math.cos(mu)), None),
-    "cos": ({}, Interval(), lambda mu, dom: (np.cos, -math.sin(mu)), None),
+    "sin": ({}, Interval(), lambda mu, dom: (np.sin, math.cos(mu), None), None),
+    "cos": ({}, Interval(), lambda mu, dom: (np.cos, -math.sin(mu), None), None),
     "log": ({}, None, _log, None),
     "sqrt": ({}, Interval(0.0, math.inf), _sqrt, None),
-    "pow4": ({}, Interval(), lambda mu, dom: ((lambda x: x ** 4), 4.0 * mu ** 3), None),
+    "pow4": ({}, Interval(),
+             lambda mu, dom: ((lambda x: x ** 4), 4.0 * mu ** 3, (0.0, 0.0, 0.0, 0.0, 1.0)), None),
     "polynomial": ({"coeffs": _NUMBERS}, Interval(), _polynomial,
                    lambda mu, coeffs: "poly" + str(list(coeffs))),
     "abs_power": ({"alpha": _NUMBER}, Interval(), _abs_power,
@@ -297,14 +315,14 @@ def make_function(kind, mu=0.0, domain=None, **params):
                         optional=("mu", "domain"))
     mu, dom = read.pop("mu", 0.0), read.pop("domain", default)
     try:
-        rule, slope = build(mu, dom, **read)
+        rule, slope, poly = build(mu, dom, **read)
         if slope is not None and not math.isfinite(slope):
             raise OverflowError
     except OverflowError:
         raise InvalidParameterError(f"{kind} has no finite slope at mu = {mu}") from None
     desc = json.dumps({"kind": kind, "mu": mu, "domain": dom.to_list(), **read}, sort_keys=True)
     return FunctionSpec(label=kind if label is None else label(mu, **params), rule=rule,
-                        domain=dom, mu=mu, slope_at_mu=slope, descriptor=desc)
+                        domain=dom, mu=mu, slope_at_mu=slope, descriptor=desc, poly=poly)
 
 
 def custom_function(rule, mu, domain=None, slope_at_mu=None, label="custom"):
@@ -343,7 +361,7 @@ def linear_shift(f, a):
                                     f"less the shift {a:g} does not fit a double")
     desc = json.dumps({"base": f.to_dict(), "kind": "shifted", "slope": a}, sort_keys=True)
     return FunctionSpec(label=f"{f.label} - {a:g}*(x-{mu:g})", rule=rule,
-                        domain=f.domain, mu=mu, slope_at_mu=slope, descriptor=desc)
+                        domain=f.domain, mu=mu, slope_at_mu=slope, descriptor=desc, poly=f.poly)
 
 
 def select_shift_slope(f):

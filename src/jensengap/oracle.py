@@ -2,18 +2,20 @@
 
 The gap E[f(X)] - f(E[X]) is computed here without reference to any bound
 formula, so it can sit on the other side of every check: exact summation for
-discrete support, adaptive quadrature for the named continuous families and
-for means of Gaussian, Laplace or uniform draws, Monte Carlo for means of
-other bases.  ``verify`` then compares a bound report
-against a gap estimate, treating the estimate's error bar as the deciding
-margin.
+discrete support; for a polynomial f on any other law, the closed form
+sum_k f^(k)(m)/k! E(X - m)^k over the law's exact central moments; else
+adaptive quadrature for the named continuous families and for means of
+Gaussian, Laplace or uniform draws, Monte Carlo for means of other bases.
+``verify`` then compares a bound report against a gap estimate, treating
+the estimate's error bar as the deciding margin.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
+from .distributions import MAX_SERIES_ORDER, Discrete
 from .errors import DomainError, InvalidParameterError
-from .functions import GAP_BELOW, evaluate
+from .functions import GAP_BELOW, evaluate, taylor_coefficients
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,13 @@ class GapEstimate:
     every draw gave one value though the law is not a point mass; for
     quadrature on a named law it is the rule's error estimate, plus for a
     mean of uniform draws a bound on the cosine-series terms it drops.
-    Either way it is an estimate, not a bound.  Exact sums report 0.
-    ``count`` is the number of integrand evaluations of the one quadrature
-    pass (at most ``nodes``; for a mean of N draws, evaluations of f times
-    the density of the mean), of atoms summed, or of Monte Carlo draws (the
-    ``samples`` means of N base draws each).
+    Either way it is an estimate, not a bound.  Exact sums and the
+    polynomial ``closed_form`` report 0: they carry rounding error only,
+    for which no bar is given yet.  ``count`` is the number of integrand
+    evaluations of the one quadrature pass (at most ``nodes``; for a mean of
+    N draws, evaluations of f times the density of the mean), of atoms
+    summed, or of Monte Carlo draws (the ``samples`` means of N base draws
+    each); the closed form evaluates f nowhere and counts 0.
     """
 
     value: float
@@ -61,8 +65,17 @@ class VerifyResult:
 
 
 def jensen_gap(f, dist, *, seed=None, **budget):
-    """E[f(X)] - f(E[X]) with method picked by the distribution's structure;
-    ``seed`` and the budget (``samples``, ``nodes``) go to ``dist.expect``."""
+    """E[f(X)] - f(E[X]) with method picked by the function's form and the
+    distribution's structure.
+
+    A polynomial f (one with a ``poly`` form) of degree at most
+    MAX_SERIES_ORDER, on a law that is not discrete, takes the closed form
+    sum_{k >= 2} b_k E(X - m)^k: b_k the Taylor coefficients at the law's
+    mean m, the moments the law's exact central ones.  f(m) is never
+    subtracted.  Its method is "closed_form", with ``abs_error`` 0
+    (rounding only) and ``count`` 0.  Where that sum is not finite, and for
+    every other function and law, ``dist.expect`` takes E[f(X)], to which
+    ``seed`` and the budget (``samples``, ``nodes``) go."""
     support = dist.support_interval()
     if support.lo < f.domain.lo or support.hi > f.domain.hi:
         raise DomainError(
@@ -72,18 +85,41 @@ def jensen_gap(f, dist, *, seed=None, **budget):
     mu = dist.mean()
     if not f.domain.contains(mu):
         raise DomainError(f"mean {mu} lies outside the domain of {f.label}")
-    est = dist.expect(f.rule, seed=seed, label=f.label, **budget)
-    gap = est.value - evaluate(f, mu)
+    gap = _polynomial_gap(f.poly, dist, mu)
+    if gap is not None:
+        method, err, count = "closed_form", 0.0, 0
+    else:
+        est = dist.expect(f.rule, seed=seed, label=f.label, **budget)
+        gap, method, err, count = est.value - evaluate(f, mu), est.method, est.abs_error, est.count
     return GapEstimate(
         value=float(gap),
-        method=est.method,
-        abs_error=float(est.abs_error),
-        count=int(est.count),
+        method=method,
+        abs_error=float(err),
+        count=int(count),
         mu=float(mu),
         seed=seed,
         f_label=f.label,
         dist_label=dist.variant,
     )
+
+
+def _polynomial_gap(poly, dist, mu):
+    """The gap of the polynomial form ``poly`` on ``dist``, whose mean is
+    ``mu``, from its Taylor coefficients at mu and the law's central
+    moments; None where there is no form, the law is discrete (its exact
+    sum stays), the degree passes MAX_SERIES_ORDER, or the sum does not
+    fit a double."""
+    if poly is None or isinstance(dist, Discrete):
+        return None
+    try:
+        b = taylor_coefficients(poly, mu)
+        if len(b) - 1 > MAX_SERIES_ORDER:
+            return None
+        moments = dist._central_moments(len(b) - 1)
+        gap = math.fsum(bk * mk for bk, mk in zip(b[2:], moments[2:]))
+    except (OverflowError, ValueError):
+        return None
+    return gap if math.isfinite(gap) else None
 
 
 # Floating-point slack for boundary equality: bound and gap travel different

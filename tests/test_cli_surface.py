@@ -159,10 +159,10 @@ def test_config_null_means_unset(tmp_path, capsys, monkeypatch, command,
      "returned a non-finite value"),
     # the gap's rule overflows: on the whole-line map at the outermost node
     # where the density is not 0, and inside the quadrature of a bounded
-    # support
-    (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
+    # support, where the polynomial's closed form overflows too
+    (["oracle", "--function", '{"kind": "abs_power", "mu": 0, "alpha": 300}',
       "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}'],
-     "error: poly[0, 0, 1e+307] returned a non-finite value near x = [-34.59293557]"),
+     "error: |x-0|^300 returned a non-finite value near x = [-34.59293557]"),
     (["oracle", "--function", '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
       "--dist", '{"variant": "mean_of_n", "n": 3, '
       '"base": {"variant": "uniform", "lo": -1e200, "hi": 1e200}}'],
@@ -213,6 +213,19 @@ def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: config file must hold a JSON object\n"
+
+
+def test_polynomial_gap_past_its_rule_is_closed_form(capsys):
+    # 1e307 x^2 overflows at the quadrature's outer nodes, but its gap on
+    # N(0, 1) is 1e307 E X^2 = 1e307, from the central moments alone
+    code = cli.main(["oracle", "--function",
+                     '{"kind": "polynomial", "mu": 0, "coeffs": [0, 0, 1e307]}',
+                     "--dist", '{"variant": "gaussian", "mean": 0, "stddev": 1}',
+                     "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["value"], out["method"], out["abs_error"], out["count"]) == (
+        1e307, "closed_form", 0.0, 0)
 
 
 def test_lower_bound_fits_though_its_product_overflows(capsys):
