@@ -502,7 +502,7 @@ class Discrete(Distribution):
         rng = stream(resolve_seed(seed), purpose)
         xs = np.array([x for x, _ in self.points])
         qs = np.array([q for _, q in self.points])
-        return rng.choice(xs, size=check_count(count, "count"), p=qs / qs.sum())
+        return rng.choice(xs, size=check_count(count, "count"), p=qs)
 
     def expect(self, g, *, nodes=DEFAULT_NODES, samples=DEFAULT_GAP_SAMPLES,
                seed=None, label="g"):
@@ -866,8 +866,10 @@ class MeanOfN(_NamedContinuous):
       31 <= n <= 47 and n >= 116.
 
     Other bases (discrete, empirical, nested means) take seeded Monte Carlo
-    for their gaps and their other moment orders.  The exact mean is
-    inherited from the base, so the oracle's f(E[X]) term stays exact.
+    for their expectations and their other moment orders; the oracle takes
+    a polynomial's gap from ``_central_moments`` instead, on every base.
+    The exact mean is inherited from the base, so the oracle's f(E[X]) term
+    stays exact.
     """
 
     base: Distribution
