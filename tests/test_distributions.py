@@ -541,6 +541,16 @@ def test_tiny_orders_of_exact_sums():
     assert moment.sigma_p == pytest.approx(math.sqrt((mu + 1.0) * (4.0 - mu)), rel=1e-11)
 
 
+def test_discrete_weights_are_read_as_shares():
+    # the weights are divided by their sum once, so sigma_p does not jump
+    # where the route changes at _SMALL_ORDER; raw weights scaled it by
+    # (sum q)^(1/p), 5e-10 relative here
+    lopsided = Discrete(((-1.0, 0.5), (4.0, 0.5 + 5e-13)))
+    assert math.fsum(q for _, q in lopsided.points) == 1.0
+    below, at = (lopsided.abs_central_moment(p).sigma_p for p in (0.000999999, 0.001))
+    assert at == pytest.approx(below, rel=1e-12)
+
+
 @pytest.mark.parametrize("base", [Uniform(-1.0, 1.0), Laplace(0.0, 0.75)],
                          ids=["uniform", "laplace"])
 def test_other_orders_of_mean_take_the_density(base):

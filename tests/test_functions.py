@@ -22,6 +22,7 @@ from jensengap.functions import (
     linear_shift,
     make_function,
     select_shift_slope,
+    taylor_coefficients,
     validate_growth,
 )
 
@@ -148,6 +149,27 @@ def test_linear_shift_rule_and_slope():
     x = 0.9
     assert evaluate(g, x) == pytest.approx(math.sin(x) - x)
     assert evaluate(g, f.mu) == evaluate(f, f.mu)
+
+
+def test_polynomial_form():
+    pow4 = make_function("pow4", 1.0)
+    assert pow4.poly == (0.0, 0.0, 0.0, 0.0, 1.0)
+    assert make_function("polynomial", 0.5, coeffs=[1, -2, 0.5]).poly == (1.0, -2.0, 0.5)
+    # a linear term adds 0 to a gap, so a shift keeps the form as it is
+    assert linear_shift(pow4, 4.0).poly == pow4.poly
+    for f in (make_function("cos"), make_function("abs_power", alpha=2.0),
+              custom_function(lambda x: x * x, 0.0)):
+        assert f.poly is None
+
+
+def test_taylor_coefficients():
+    # x^4 at 1 is (1 + t)^4, trailing zeros of the form dropped
+    assert taylor_coefficients((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0), 1.0) == [1, 4, 6, 4, 1]
+    # 1 - 2x + 3x^2 at -2: f = 17, f' = -14, f''/2 = 3
+    assert taylor_coefficients((1.0, -2.0, 3.0), -2.0) == [17.0, -14.0, 3.0]
+    assert taylor_coefficients((0.0, 0.0), 5.0) == [0.0]
+    with pytest.raises(OverflowError):
+        taylor_coefficients((0.0, 0.0, 1.0), 1e200)
 
 
 def test_linear_shift_refuses_a_slope_past_a_double():

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -13,6 +14,7 @@ import jensengap.cli as cli
 from jensengap.bounds import BoundReport, upper_bound
 from jensengap.distributions import (
     DEFAULT_NODES,
+    MAX_SERIES_ORDER,
     Empirical,
     Gaussian,
     Laplace,
@@ -130,6 +132,113 @@ def test_gap_is_shift_invariant():
         shifted = jensen_gap(linear_shift(f, a), dist)
         scale = max(abs(base.value), 1.0)
         assert abs(shifted.value - base.value) <= 8 * np.finfo(float).eps * scale
+
+
+# the closed-form route's functions: pow4, x^2, a degree-6 polynomial and
+# pow4 less its tangent at 1
+POLYNOMIALS = {
+    "pow4": make_function("pow4", 1.0),
+    "square": make_function("polynomial", 0.0, coeffs=[0, 0, 1]),
+    "degree6": make_function("polynomial", 0.3, coeffs=[0.5, -1.0, 0.25, 0.7, -0.4, 0.1, 0.05]),
+    "pow4_shifted": linear_shift(make_function("pow4", 1.0), 4.0),
+}
+CONTINUOUS = {"gaussian": Gaussian(1.0, 0.7), "laplace": Laplace(-0.5, 0.4),
+              "uniform": Uniform(-0.3, 1.9)}
+CONTINUOUS_AND_MEANS = {**CONTINUOUS, **{f"mean_of_6_{k}": mean_of_n(d, 6)
+                                         for k, d in CONTINUOUS.items()}}
+
+
+def _against_expect(f, dist, **budget):
+    """The closed-form gap, today's route's gap dist.expect(f.rule) - f(m)
+    and the distance that route's error bar and rounding allow."""
+    gap = jensen_gap(f, dist)
+    est = dist.expect(f.rule, **budget)
+    at_mean = f(dist.mean())
+    return gap, est.value - at_mean, est.abs_error, 1e-12 * max(abs(est.value), abs(at_mean))
+
+
+@pytest.mark.parametrize("dist", CONTINUOUS_AND_MEANS.values(), ids=CONTINUOUS_AND_MEANS)
+@pytest.mark.parametrize("f", POLYNOMIALS.values(), ids=POLYNOMIALS)
+def test_polynomial_gap_is_closed_form(f, dist):
+    gap, want, bar, rounding = _against_expect(f, dist)
+    assert (gap.method, gap.abs_error, gap.count) == ("closed_form", 0.0, 0)
+    assert abs(gap.value - want) <= 4.0 * bar + rounding
+
+
+ATOM_BASES = {"two_point": two_point(0.4, 1.0), "empirical": Empirical((-1.0, -0.5, 0.25, 1.25))}
+
+
+def _enumerated_gap(f, base, n):
+    """E f(mean of n draws) - f(m) summed over every n-tuple of atoms."""
+    terms = [(math.prod(q for _, q in atoms), math.fsum(x for x, _ in atoms) / n)
+             for atoms in itertools.product(base.points, repeat=n)]
+    return math.fsum(w * f(x) for w, x in terms) - f(base.mean())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("base", ATOM_BASES.values(), ids=ATOM_BASES)
+@pytest.mark.parametrize("f", POLYNOMIALS.values(), ids=POLYNOMIALS)
+def test_polynomial_gap_on_means_of_atoms_is_the_atom_sum(f, base, n):
+    gap = jensen_gap(f, mean_of_n(base, n))
+    assert gap.method == "closed_form"
+    assert gap.value == pytest.approx(_enumerated_gap(f, base, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("base", ATOM_BASES.values(), ids=ATOM_BASES)
+@pytest.mark.parametrize("f", POLYNOMIALS.values(), ids=POLYNOMIALS)
+def test_polynomial_gap_on_a_mean_of_16_atoms_within_monte_carlo(f, base):
+    # a Monte Carlo bar is a 95% radius: over these eight cases one would
+    # miss it about a third of the time, so four of them are allowed, as
+    # the quadrature checks allow
+    dist = mean_of_n(base, 16)
+    gap, want, bar, rounding = _against_expect(f, dist, samples=200_000, seed=3)
+    assert gap.method == "closed_form"
+    assert abs(gap.value - want) <= 4.0 * bar + rounding
+
+
+@st.composite
+def polynomial_laws(draw):
+    """A polynomial of degree at most 8 and a Gaussian, Laplace or uniform
+    law, or the mean of a few draws of one."""
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9))
+    mu = draw(st.floats(-1.5, 1.5))
+    scale = draw(st.floats(0.05, 1.5))
+    family = draw(st.sampled_from(["gaussian", "laplace", "uniform"]))
+    law = {"gaussian": Gaussian(mu, scale), "laplace": Laplace(mu, scale),
+           "uniform": Uniform(mu - scale, mu + scale)}[family]
+    n = draw(st.sampled_from([1, 2, 5, 16]))
+    return (make_function("polynomial", draw(st.floats(-1.0, 1.0)), coeffs=coeffs),
+            law if n == 1 else mean_of_n(law, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=polynomial_laws())
+def test_polynomial_gap_matches_quadrature(case):
+    f, dist = case
+    gap, want, bar, rounding = _against_expect(f, dist)
+    assert gap.method == "closed_form"
+    assert abs(gap.value - want) <= 4.0 * bar + rounding + 1e-12
+
+
+def _degree(d):
+    # x^2 plus a leading 1e-300 x^d
+    return make_function("polynomial", 0.0, coeffs=[0.0, 0.0, 1.0] + [0.0] * (d - 3) + [1e-300])
+
+
+@pytest.mark.parametrize("f, dist, method", [
+    (make_function("cos", 0.0), Gaussian(0.0, 0.5), "quadrature"),
+    (make_function("abs_power", 0.0, alpha=2.0), Uniform(-1.0, 1.0), "quadrature"),
+    (make_function("log", 1.0, domain=Interval(0.5, math.inf)), Uniform(0.6, 1.4), "quadrature"),
+    (custom_function(lambda x: x * x, 0.0), Laplace(0.0, 0.5), "quadrature"),
+    (custom_function(lambda x: x * x, 0.0), mean_of_n(two_point(0.0, 1.0), 3), "monte_carlo"),
+    (make_function("pow4", 1.0), two_point(1.0, 0.5), "exact_sum"),
+    (POLYNOMIALS["degree6"], Empirical((-1.0, -0.5, 0.25, 1.25)), "exact_sum"),
+    (_degree(MAX_SERIES_ORDER), Gaussian(0.0, 0.5), "closed_form"),
+    (_degree(MAX_SERIES_ORDER + 1), Gaussian(0.0, 0.5), "quadrature"),
+], ids=["cos", "abs_power", "log", "custom", "custom_on_atoms", "pow4_on_atoms",
+        "degree6_on_empirical", "top_degree", "past_top_degree"])
+def test_gap_route_by_form_and_law(f, dist, method):
+    assert jensen_gap(f, dist, samples=1000, seed=1).method == method
 
 
 def test_monte_carlo_error_shrinks_with_samples():
