@@ -149,8 +149,9 @@ CONTINUOUS_AND_MEANS = {**CONTINUOUS, **{f"mean_of_6_{k}": mean_of_n(d, 6)
 
 
 def _against_expect(f, dist, **budget):
-    """The closed-form gap, today's route's gap dist.expect(f.rule) - f(m)
-    and the distance that route's error bar and rounding allow."""
+    """The closed-form gap, the gap dist.expect(f.rule) - f(m) by quadrature
+    or Monte Carlo, and the distance that route's error bar and rounding
+    allow."""
     gap = jensen_gap(f, dist)
     est = dist.expect(f.rule, **budget)
     at_mean = f(dist.mean())
@@ -187,9 +188,9 @@ def test_polynomial_gap_on_means_of_atoms_is_the_atom_sum(f, base, n):
 @pytest.mark.parametrize("base", ATOM_BASES.values(), ids=ATOM_BASES)
 @pytest.mark.parametrize("f", POLYNOMIALS.values(), ids=POLYNOMIALS)
 def test_polynomial_gap_on_a_mean_of_16_atoms_within_monte_carlo(f, base):
-    # a Monte Carlo bar is a 95% radius: over these eight cases one would
-    # miss it about a third of the time, so four of them are allowed, as
-    # the quadrature checks allow
+    # a Monte Carlo bar is a 95% radius: at one bar, some one of these
+    # eight cases would miss about a third of the time, so four bars are
+    # allowed, as in the quadrature checks
     dist = mean_of_n(base, 16)
     gap, want, bar, rounding = _against_expect(f, dist, samples=200_000, seed=3)
     assert gap.method == "closed_form"
