@@ -1,9 +1,10 @@
 """Bound formulas: envelope constants combined with absolute central moments.
 
 Each operation assembles one inequality into a BoundReport, built in one
-place (``_report``), after it checks the mean, solves its envelope constants
-and takes its moments.  The variance interval is one formula; every other
-kind is a spec of the power-sum formula M (sum c m_r)^power / (sum c
+place (``_report``), after it solves its envelope constants, checks its law
+against their mu and f's domain (``functions.check_law``, as the oracle
+does) and takes its moments.  The variance interval is one formula; every
+other kind is a spec of the power-sum formula M (sum c m_r)^power / (sum c
 m_r)^root: the upper bound and the Cauchy-Schwarz and Hoelder lower bounds
 are the two-term and one-term cases of the general power-sum bounds,
 reported with their own parameters.  The report carries everything needed
@@ -33,11 +34,10 @@ from .envelope import (
     sup_ratio_general,
 )
 from .errors import EvaluationError, InvalidParameterError
-from .functions import GAP_ABOVE
+from .functions import GAP_ABOVE, check_law
 
 MAX_HOLDER_K = 60
 MAX_DENOMINATOR_TERMS = 100_000
-MEAN_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,6 @@ class BoundReport:
             "f_label": self.f_label,
             "dist_label": self.dist_label,
         }
-
-
-def _check_mean(mu, dist):
-    mean = dist.mean()
-    if not math.isclose(mu, mean, rel_tol=MEAN_MATCH_TOL, abs_tol=MEAN_MATCH_TOL):
-        raise InvalidParameterError(
-            f"envelope is centered at {mu} but the distribution mean is "
-            f"{mean}; recenter one of them"
-        )
-    return mean
 
 
 def _require_envelope(M, role, **expected):
@@ -178,7 +168,7 @@ def _power_sum_bound(kind, M, dist, params, num, power, den, root, moment_kw,
         e += power * e_t - root * e_d
         return math.ldexp(m_M * m_t ** power / m_d ** root * 2.0 ** (e % 1), math.floor(e))
 
-    mean = _check_mean(M.mu, dist)
+    mean = check_law(dist, M.domain, M.f_label, M.mu)
     orders = [r for _, r in num + den if r is not None]
     moments = dist.abs_central_moments(orders, **moment_kw)
     # the uncertainty is the first-order response to each moment's error
@@ -323,11 +313,11 @@ def variance_interval(f, dist, **moment_kw):
     """Curvature interval: inf h * sigma_2^2 <= J <= sup h * sigma_2^2.
 
     An unbounded curvature side propagates to an infinite endpoint, which is
-    a valid if trivial one-sided statement, not an error.  The mean is
+    a valid if trivial one-sided statement, not an error.  The law is
     checked before the curvature is solved, and the curvature is solved
     once per FunctionSpec: later intervals of the same f reuse it.
     """
-    mean = _check_mean(f.mu, dist)
+    mean = check_law(dist, f.domain, f.label, f.mu)
     h_lo, h_hi = curvature_envelope(f)
     moments = dist.abs_central_moments([2.0], **moment_kw)
     m2, err2 = moments[2.0].sigma_p_pow, moments[2.0].abs_error_estimate

@@ -3,11 +3,13 @@
 Subcommands: bound (full pipeline with verification), oracle (gap only),
 examples (reference-constant reproduction), tightness (sharpness
 constructions), sweep (spread and sample-size scaling).  Options come from
-flags or a JSON config file; flags win.  Output is JSON, CSV, or a plain
-table, always at 9 significant digits, and byte-identical for a fixed
-config and seed.  Reports hold plain floats; ``fmt`` and ``render_json``
-are the one place where inf, -inf and nan become the text "inf", "-inf"
-and "nan", in every format.
+flags or a JSON config file; flags win.  Each ``cmd_*`` returns (payload,
+rows, footer, ok) from the merged options; ``main`` alone merges, renders,
+writes, and exits 0, 2 when not ok, or 1 on an error.  Output is JSON,
+CSV, or a plain table, always at 9 significant digits, and byte-identical
+for a fixed config and seed.  Reports hold plain floats; ``fmt`` and
+``render_json`` are the one place where inf, -inf and nan become the text
+"inf", "-inf" and "nan", in every format.
 """
 
 import argparse
@@ -105,32 +107,21 @@ def render_table(rows, footer=()):
     return "\n".join(lines) + "\n"
 
 
-def emit(opts, payload, rows, footer=()):
-    """Render in the --format chosen and write to --out, or to stdout."""
-    if opts["format"] == "json":
-        text = render_json(payload)
-    elif opts["format"] == "csv":
-        text = render_csv(rows)
-    else:
-        text = render_table(rows, footer)
-    if opts["out"]:
-        with open(opts["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Option plumbing
 
-def _load_json_arg(text, what):
-    """Accept inline JSON (starts with '{') or a path to a JSON file."""
+def _read(opts, what):
+    """The --function or --dist descriptor, inline JSON (starts with '{') or
+    a path to a JSON file, parsed."""
+    text = opts[what]
     if text is None:
         raise InvalidParameterError(f"--{what} is required for this command")
     if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+        d = json.loads(text)
+    else:
+        with open(text) as fh:
+            d = json.load(fh)
+    return function_from_dict(d) if what == "function" else distribution_from_dict(d)
 
 
 def _config_flag(key, value):
@@ -280,11 +271,9 @@ _KINDS = {
 }
 
 
-def cmd_bound(args):
-    opts = merged_options(args)
+def cmd_bound(opts):
     _need(opts, "kind")
-    f = function_from_dict(_load_json_arg(opts["function"], "function"))
-    dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
+    f, dist = _read(opts, "function"), _read(opts, "dist")
     kw = _moment_kw(opts)
     shifts, needs, solve = _KINDS[opts["kind"]]
     g = _shifted(f, opts["shift"]) if shifts else f
@@ -298,11 +287,11 @@ def cmd_bound(args):
         "gap": gap.to_dict(),
         "verify": verdict.to_dict(),
     }
-    value = report.value
+    value, value_hi = report.value if isinstance(report.value, tuple) else (report.value, "")
     row = {
         "kind": report.kind,
-        "value": value[0] if isinstance(value, tuple) else value,
-        "value_hi": value[1] if isinstance(value, tuple) else "",
+        "value": value,
+        "value_hi": value_hi,
         "mu": report.mu,
         "gap": gap.value,
         "gap_error": gap.abs_error,
@@ -310,15 +299,11 @@ def cmd_bound(args):
         "margin": verdict.margin,
     }
     footer = [f"verdict: {verdict.verdict} ({verdict.detail})"]
-    emit(opts, payload, [row], footer)
-    return EXIT_VIOLATION if verdict.verdict == "fail" else EXIT_OK
+    return payload, [row], footer, verdict.verdict != "fail"
 
 
-def cmd_oracle(args):
-    opts = merged_options(args)
-    f = function_from_dict(_load_json_arg(opts["function"], "function"))
-    dist = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
-    gap = jensen_gap(f, dist, **_moment_kw(opts))
+def cmd_oracle(opts):
+    gap = jensen_gap(_read(opts, "function"), _read(opts, "dist"), **_moment_kw(opts))
     row = {
         "gap": gap.value,
         "abs_error": gap.abs_error,
@@ -327,18 +312,13 @@ def cmd_oracle(args):
         "mu": gap.mu,
     }
     footer = [f"gap = {fmt(gap.value)} +- {fmt(gap.abs_error)}"]
-    emit(opts, gap.to_dict(), [row], footer)
-    return EXIT_OK
+    return gap.to_dict(), [row], footer, True
 
 
-def cmd_examples(args):
-    opts = merged_options(args)
+def cmd_examples(opts):
     rows = worked_example_rows()
     worst = max(r["rel_err"] for r in rows)
-    ok = worst <= REL_TOL
-    for r in rows:
-        if "cap" in r and not r["computed"] < r["cap"]:
-            ok = False
+    ok = worst <= REL_TOL and all(r["computed"] < r["cap"] for r in rows if "cap" in r)
     payload = {"rows": rows, "max_rel_err": worst, "tolerance": REL_TOL,
                "all_within_tolerance": ok}
     table_rows = [
@@ -348,8 +328,7 @@ def cmd_examples(args):
         for r in rows
     ]
     footer = [f"max relative error {fmt(worst)} against tolerance {fmt(REL_TOL)}"]
-    emit(opts, payload, table_rows, footer)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return payload, table_rows, footer, ok
 
 
 # each construction's parameters, at their defaults
@@ -361,8 +340,7 @@ _CONSTRUCTIONS = {
 }
 
 
-def cmd_tightness(args):
-    opts = merged_options(args)
+def cmd_tightness(opts):
     _need(opts, "construction")
     kind = opts["construction"]
     par = {**_CONSTRUCTIONS[kind],
@@ -404,8 +382,7 @@ def cmd_tightness(args):
             f"fitted slope {fmt(slope)} against predicted {fmt(predicted)} "
             f"(relative deviation {fmt(rel_dev)})"
         ]
-    emit(opts, payload, rows, footer)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return payload, rows, footer, ok
 
 
 def _parse_grid(text):
@@ -416,11 +393,10 @@ def _parse_grid(text):
             f"--grid must be comma-separated numbers, got {text!r}") from None
 
 
-def cmd_sweep(args):
-    opts = merged_options(args)
+def cmd_sweep(opts):
     _need(opts, "mode")
     mode = opts["mode"]
-    f = function_from_dict(_load_json_arg(opts["function"], "function"))
+    f = _read(opts, "function")
     alpha, n = opts["alpha"], opts["n"]
 
     if mode == "two_point":
@@ -430,7 +406,7 @@ def cmd_sweep(args):
         # whole numbers only: mean_of_n_sweep rejects 4.5 rather than
         # truncating it
         ns = _parse_grid(opts["grid"] or "4,16,64,256")
-        base = distribution_from_dict(_load_json_arg(opts["dist"], "dist"))
+        base = _read(opts, "dist")
         result = mean_of_n_sweep(
             f, base, ns, alpha=alpha, n_growth=n,
             samples=opts["samples"], seed=opts["seed"],
@@ -438,8 +414,7 @@ def cmd_sweep(args):
 
     rows = [dict(r, gap_slope=result["gap_slope"]) for r in result["rows"]]
     footer = [f"fitted log-log gap slope {fmt(result['gap_slope'])}"]
-    emit(opts, result, rows, footer)
-    return EXIT_OK
+    return result, rows, footer, True
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +508,27 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        opts = merged_options(args)
         # a typed error reports what overflowed, so numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.handler(args)
+            payload, rows, footer, ok = args.handler(opts)
+        if opts["format"] == "json":
+            text = render_json(payload)
+        elif opts["format"] == "csv":
+            text = render_csv(rows)
+        else:
+            text = render_table(rows, footer)
+        if opts["out"]:
+            with open(opts["out"], "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (JensenGapError, OSError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

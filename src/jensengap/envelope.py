@@ -44,6 +44,7 @@ from .functions import (
     GAP_ABOVE,
     GAP_BELOW,
     GrowthDeclaration,
+    Interval,
     eval_many,
     evaluate,
     select_shift_slope,
@@ -110,8 +111,10 @@ class EnvelopeConstant:
     ``location`` is ``"interior"`` for an extremum at a finite point away from
     the mean, ``"at_mu"`` when the extremum is the limit as ``x -> mu`` (then
     ``arg`` is the mean itself), and ``"at_infinity"`` for a limit or
-    divergence at the far end (then ``arg`` is None).  ``f_label`` names the
-    function the constant was solved for, so bounds built on it can say so.
+    divergence at the far end (then ``arg`` is None).  ``domain`` and
+    ``f_label`` are the interval and name of the function the constant was
+    solved for, which bounds built on it check their law against and report;
+    ``to_dict`` prints neither.
     """
 
     value: float
@@ -122,11 +125,12 @@ class EnvelopeConstant:
     params: tuple
     validated: bool
     diag: SolverDiagnostics
+    domain: Interval
     f_label: str = ""
 
     def to_dict(self):
         out = asdict(self)
-        del out["f_label"]
+        del out["domain"], out["f_label"]
         return dict(out, params=dict(self.params))
 
 
@@ -453,7 +457,7 @@ def _choose(f, role, direction, params, candidates, probes, refinements, screen)
         )
     return EnvelopeConstant(
         value, chosen.arg, chosen.location, role, f.mu, params, True,
-        SolverDiagnostics(probes, refinements, chosen.width), f.label,
+        SolverDiagnostics(probes, refinements, chosen.width), f.domain, f.label,
     )
 
 

@@ -1,21 +1,23 @@
 """Independent Jensen gap estimates and verdicts on bound reports.
 
 The gap E[f(X)] - f(E[X]) is computed here without reference to any bound
-formula, so it can sit on the other side of every check: exact summation for
+formula, so it can sit on the other side of every check.  Its law is checked
+by ``functions.check_law``, as every bound's is.  Then exact summation for
 discrete support; for a polynomial f on any other law, the closed form
 sum_k f^(k)(m)/k! E(X - m)^k over the law's exact central moments; else
 adaptive quadrature for the named continuous families and for means of
 Gaussian, Laplace or uniform draws, Monte Carlo for means of other bases.
 ``verify`` then compares a bound report against a gap estimate, treating
-the estimate's error bar as the deciding margin.
+the estimate's error bar as the deciding margin, once their means agree to
+the bounds' MEAN_MATCH_TOL.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
 from .distributions import MAX_SERIES_ORDER, Discrete
-from .errors import DomainError, InvalidParameterError
-from .functions import GAP_BELOW, evaluate, taylor_coefficients
+from .errors import InvalidParameterError
+from .functions import GAP_BELOW, MEAN_MATCH_TOL, check_law, evaluate, taylor_coefficients
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,7 @@ def jensen_gap(f, dist, *, seed=None, **budget):
     (rounding only) and ``count`` 0.  Where that sum is not finite, and for
     every other function and law, ``dist.expect`` takes E[f(X)], to which
     ``seed`` and the budget (``samples``, ``nodes``) go."""
-    support = dist.support_interval()
-    if support.lo < f.domain.lo or support.hi > f.domain.hi:
-        raise DomainError(
-            f"support {support.to_list()} of {dist.variant} escapes the "
-            f"domain {f.domain.to_list()} of {f.label}"
-        )
-    mu = dist.mean()
-    if not f.domain.contains(mu):
-        raise DomainError(f"mean {mu} lies outside the domain of {f.label}")
+    mu = check_law(dist, f.domain, f.label)
     gap = _polynomial_gap(f.poly, dist, mu)
     if gap is not None:
         method, err, count = "closed_form", 0.0, 0
@@ -152,7 +146,7 @@ def verify(report, gap):
     pass, fail or inconclusive as its error bar sits inside, outside or across
     an end.  Reports centered at a different mean are rejected.
     """
-    if not math.isclose(report.mu, gap.mu, rel_tol=1e-9, abs_tol=1e-9):
+    if not math.isclose(report.mu, gap.mu, rel_tol=MEAN_MATCH_TOL, abs_tol=MEAN_MATCH_TOL):
         raise InvalidParameterError(
             f"bound is centered at {report.mu} but the gap was computed "
             f"about {gap.mu}; they do not refer to the same problem"

@@ -23,7 +23,7 @@ from jensengap.distributions import (
     two_point,
 )
 from jensengap.envelope import inf_ratio_lower, sup_ratio_upper
-from jensengap.errors import EvaluationError, InvalidParameterError
+from jensengap.errors import DomainError, EvaluationError, InvalidParameterError
 from jensengap.functions import (
     GAP_ABOVE,
     GAP_BELOW,
@@ -188,6 +188,39 @@ def test_mean_mismatch_rejected():
     M = sup_ratio_upper(f, 3.0, 3.0)
     with pytest.raises(InvalidParameterError):
         upper_bound(M, two_point(0.5, 0.5), 3.0, 3.0)
+
+
+# each bound kind on flat_log, whose domain is [0.5, inf), with its value on
+# Uniform(0.6, 1.4), a law inside that domain
+_ON_FLAT_LOG = {
+    "upper": (lambda g, d: upper_bound(sup_ratio_upper(g, 2.0, 2.0), d, 2.0, 2.0),
+              0.04120473185278833),
+    "lower_cauchy_schwarz": (lambda g, d: lower_bound_cauchy_schwarz(
+        inf_ratio_lower(g, 2.0, 1.0, GAP_BELOW), d, 2.0, 1.0), 0.016666666578573748),
+    "lower_holder": (lambda g, d: lower_bound_holder(
+        inf_ratio_lower(g, 2.0, 1.0, GAP_BELOW), d, 2.0, 1.0, 2, 3), 0.01861839283960242),
+    "variance_interval": (variance_interval, (-0.04120473185278833, 3.643359322579482e-16)),
+    "general_upper": (lambda g, d: general_bounds(g, d, [(2.0, 1.0), (3.0, 1.0)], "upper"),
+                      0.035710767605749885),
+    "general_lower": (lambda g, d: general_bounds(g, d, [(1.0, 1.0), (2.0, 1.0)], "lower",
+                                                  sign=GAP_BELOW), 0.016666666578573748),
+}
+
+
+@pytest.mark.parametrize("kind", _ON_FLAT_LOG)
+def test_law_outside_the_domain_is_refused(kind):
+    bound, inside = _ON_FLAT_LOG[kind]
+    g = flat_log()
+    assert bound(g, Uniform(0.6, 1.4)).value == inside
+    # the premise every bound rests on: the law's support lies in f's domain
+    for dist in (Gaussian(1.0, 1.0), Uniform(-1.0, 3.0)):
+        with pytest.raises(DomainError, match=r"escapes the domain \[0.5, None\] of "
+                                              r"log - 1\*\(x-1\)$"):
+            bound(g, dist)
+    # the mean is checked first, with its own message
+    with pytest.raises(InvalidParameterError, match="^envelope is centered at 1.0 but the "
+                                                    "distribution mean is 0.75; recenter"):
+        bound(g, two_point(0.75, 1.25))
 
 
 def test_variance_interval_cosine():

@@ -66,6 +66,18 @@ def test_bound_csv_has_stable_header(capsys):
     assert out.splitlines()[0] == "kind,value,value_hi,mu,gap,gap_error,verdict,margin"
 
 
+def test_bound_law_outside_the_domain_is_input_error(capsys):
+    # the bound refuses the law before the gap is taken, so the message names
+    # the shifted f that the envelope was solved for
+    code = cli.main(["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
+                     "--function", '{"kind": "log", "mu": 1, "domain": [0.5, null]}',
+                     "--dist", '{"variant": "gaussian", "mean": 1, "stddev": 1}'])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: support [None, None] of gaussian escapes the domain "
+                   "[0.5, None] of log - 1*(x-1)\n")
+
+
 def test_bound_mismatched_mean_is_input_error(capsys):
     code, _ = run(["bound", "--kind", "upper", "--alpha", "2", "--n", "2",
                    "--function", COS,
@@ -367,8 +379,8 @@ def test_sweep_small_grid_rejected(capsys):
 def test_sweep_non_integral_grid_rejected(capsys):
     for grid in ("4.5,16,64,256", "4,16,x,256"):
         with pytest.raises(InvalidParameterError):
-            cli.cmd_sweep(cli.build_parser().parse_args(
-                ["sweep", "--mode", "mean_of_n", "--grid", grid]))
+            cli.cmd_sweep(cli.merged_options(cli.build_parser().parse_args(
+                ["sweep", "--mode", "mean_of_n", "--grid", grid])))
         code, _ = run(["sweep", "--mode", "mean_of_n", "--grid", grid], capsys)
         assert code == 1
         assert "int()" not in capsys.readouterr().err
