@@ -139,21 +139,24 @@ class FunctionSpec:
 
 def check_law(dist, domain, label, mu=None):
     """The mean of ``dist``, checked as every gap and bound of the function
-    ``label`` on ``domain`` needs it: first within MEAN_MATCH_TOL of ``mu``,
-    when given (InvalidParameterError); then the support and the mean inside
-    ``domain`` (DomainError), unless the domain is the whole line."""
-    mean = dist.mean()
-    if mu is not None and not math.isclose(mu, mean, rel_tol=MEAN_MATCH_TOL,
-                                           abs_tol=MEAN_MATCH_TOL):
-        raise InvalidParameterError(f"envelope is centered at {mu} but the distribution "
-                                    f"mean is {mean}; recenter one of them")
+    ``label`` on ``domain`` needs it: within MEAN_MATCH_TOL of ``mu`` when
+    given (InvalidParameterError), then the support, unless ``domain`` is the
+    whole line, and the mean inside ``domain`` (DomainError).  Without ``mu``
+    the mean is read after the support."""
+    if mu is not None:
+        mean = dist.mean()
+        if not math.isclose(mu, mean, rel_tol=MEAN_MATCH_TOL, abs_tol=MEAN_MATCH_TOL):
+            raise InvalidParameterError(f"envelope is centered at {mu} but the distribution "
+                                        f"mean is {mean}; recenter one of them")
     if domain.lo > -math.inf or domain.hi < math.inf:
         support = dist.support_interval()
         if support.lo < domain.lo or support.hi > domain.hi:
             raise DomainError(f"support {support.to_list()} of {dist.variant} escapes "
                               f"the domain {domain.to_list()} of {label}")
-        if not domain.contains(mean):
-            raise DomainError(f"mean {mean} lies outside the domain of {label}")
+    if mu is None:
+        mean = dist.mean()
+    if not domain.contains(mean):
+        raise DomainError(f"mean {mean} lies outside the domain of {label}")
     return mean
 
 

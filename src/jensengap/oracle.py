@@ -9,7 +9,7 @@ adaptive quadrature for the named continuous families and for means of
 Gaussian, Laplace or uniform draws, Monte Carlo for means of other bases.
 ``verify`` then compares a bound report against a gap estimate, treating
 the estimate's error bar as the deciding margin, once their means agree to
-the bounds' MEAN_MATCH_TOL.
+the law check's MEAN_MATCH_TOL.
 """
 
 import math

@@ -275,6 +275,9 @@ def test_support_outside_domain_rejected():
         jensen_gap(log, Gaussian(1.0, 0.1))
     with pytest.raises(DomainError):
         jensen_gap(log, Uniform(0.1, 2.0))
+    # the support is read before the mean, whose sum here overflows a double
+    with pytest.raises(DomainError, match="escapes the domain"):
+        jensen_gap(log, Empirical((-1.7e308, -1.7e308, -1e308)))
 
 
 def test_verify_upper_pass_fail_inconclusive():
